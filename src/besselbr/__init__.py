@@ -42,6 +42,8 @@ from .paths import (
     sample_bm,
     sample_scalar_product,
     sample_squared_bessel,
+    scalar_product_batch,
+    squared_bessel_batch,
 )
 from .rescale import (
     NormingConstants,
@@ -49,12 +51,8 @@ from .rescale import (
     generic_constants,
     local_bessel_batch,
     local_bessel_split_batch,
-    local_bessel_times,
     local_scalar_batch,
-    local_scalar_times,
     max_process,
-    sample_local_bessel,
-    sample_local_scalar,
     scalar_constants,
 )
 from .stats import (

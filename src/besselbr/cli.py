@@ -470,8 +470,10 @@ def run(argv=None) -> int:
     text = _json_encode(report) + "\n" if args.format == "json" else _csv_encode(report)
     if args.out:
         _write_atomic(args.out, text)
+        summary = sys.stdout
     else:
         sys.stdout.write(text)
+        summary = sys.stderr  # keep stdout a parseable report
 
     for row in rows:
         verdict = ""
@@ -479,8 +481,8 @@ def run(argv=None) -> int:
             verdict = "  PASS" if row["passed"] else "  FAIL"
             if row["threshold"] is not None:
                 verdict += f" (threshold {row['threshold']:g})"
-        print(f"{row['statistic']} = {row['value']:.6g}{verdict}")
-    print("PASS" if passed else "FAIL")
+        print(f"{row['statistic']} = {row['value']:.6g}{verdict}", file=summary)
+    print("PASS" if passed else "FAIL", file=summary)
     return 0 if passed else 1
 
 

@@ -1,9 +1,11 @@
 """Exact-increment simulation of Brownian paths and the processes built from them.
 
-All samplers place exact Gaussian increments between consecutive grid times,
-so the joint law at the grid points carries no discretisation bias; the
-squared Bessel and scalar-product processes are assembled directly from their
-defining sums of Brownian coordinates.
+One kernel, :func:`_brownian`, places exact Gaussian increments between
+consecutive times, so the joint law at those times carries no discretisation
+bias.  The squared Bessel and scalar-product batches are assembled from its
+Brownian coordinates by their defining sums, and every sampler draws all
+coordinates of all rows from the single stream at its key, in C order; the
+per-path samplers are row 0 of a batch of one.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ __all__ = [
     "sample_bm",
     "sample_squared_bessel",
     "sample_scalar_product",
+    "squared_bessel_batch",
+    "scalar_product_batch",
 ]
 
 MAX_DYADIC_EXPONENT = 24
@@ -90,13 +94,25 @@ def make_dyadic_grid(k: int) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, 1.0, 2**k + 1))
 
 
-def _bm_at(times: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Brownian values at strictly increasing times, started from B(0) = 0.
+def _checked_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a nonempty 1-d array")
+    if np.any(times < 0) or not np.all(np.diff(times) > 0):
+        raise ValueError("times must be nonnegative and strictly increasing")
+    return times
+
+
+def _brownian(times: np.ndarray, rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Independent Brownian motions of ``shape`` at ``times``, from B(0) = 0.
 
     ``times`` need not begin at 0; the first increment covers (0, times[0]].
+    Returns shape ``(*shape, len(times))``: the normals of ``rng`` in C order,
+    scaled to exact increments and summed in place.
     """
-    steps = np.diff(times, prepend=0.0)
-    return np.cumsum(rng.standard_normal(times.size) * np.sqrt(steps))
+    z = rng.standard_normal((*shape, times.size))
+    z *= np.sqrt(np.diff(times, prepend=0.0))
+    return np.cumsum(z, axis=-1, out=z)
 
 
 def sample_bm(grid: TimeGrid, key: StreamKey) -> SamplePath:
@@ -105,12 +121,7 @@ def sample_bm(grid: TimeGrid, key: StreamKey) -> SamplePath:
     The increment over each grid interval is an exact N(0, dt) draw, so the
     joint distribution at the grid points is the true Brownian one.
     """
-    rng = key.generator()
-    pts = grid.points
-    values = np.empty(pts.size)
-    values[0] = 0.0
-    np.cumsum(rng.standard_normal(pts.size - 1) * np.sqrt(np.diff(pts)), out=values[1:])
-    return SamplePath(grid, values)
+    return SamplePath(grid, np.append(0.0, _brownian(grid.points[1:], key.generator(), ())))
 
 
 def _check_dimension(m):
@@ -118,31 +129,37 @@ def _check_dimension(m):
         raise ValueError(f"dimension m must be a positive integer, got {m}")
 
 
-def sample_squared_bessel(grid: TimeGrid, m: int, key: StreamKey) -> SamplePath:
-    """Sum of squares of ``m`` independent Brownian coordinates on ``grid``.
+def squared_bessel_batch(times, m: int, key: StreamKey, count: int) -> np.ndarray:
+    """``count`` i.i.d. squared Bessel processes of dimension ``m``, shape (count, len(times)).
 
-    Coordinate j draws from substream ``key.substream_index + j``, so the
-    whole path is reproducible from (master_seed, replicate_index).
-    The value at time t is t * chi-square(m) in distribution.
+    Row i is the sum of squares of m Brownian coordinates, all drawn from the
+    single stream at ``key`` in C order over (row, coordinate, time).
     """
     _check_dimension(m)
-    total = np.zeros(len(grid))
-    for j in range(m):
-        total += sample_bm(grid, key.with_substream(key.substream_index + j)).values ** 2
-    return SamplePath(grid, total)
+    bm = _brownian(_checked_times(times), key.generator(), (count, m))
+    return np.einsum("ijk,ijk->ik", bm, bm)
+
+
+def scalar_product_batch(times, m: int, key: StreamKey, count: int) -> np.ndarray:
+    """``count`` i.i.d. scalar products of two m-dimensional motions, shape (count, len(times)).
+
+    The single stream at ``key`` gives the first motion of every row, then
+    the second, each in C order over (row, coordinate, time).
+    """
+    _check_dimension(m)
+    bm, bm_tilde = _brownian(_checked_times(times), key.generator(), (2, count, m))
+    return np.einsum("ijk,ijk->ik", bm, bm_tilde)
+
+
+def sample_squared_bessel(grid: TimeGrid, m: int, key: StreamKey) -> SamplePath:
+    """Row 0 of :func:`squared_bessel_batch` on ``grid``, exactly 0 at time 0.
+
+    No draw is spent on time 0; the value at time t is t * chi-square(m) in
+    distribution.
+    """
+    return SamplePath(grid, np.append(0.0, squared_bessel_batch(grid.points[1:], m, key, 1)[0]))
 
 
 def sample_scalar_product(grid: TimeGrid, m: int, key: StreamKey) -> SamplePath:
-    """Coordinatewise scalar product of two independent m-dimensional Brownian motions.
-
-    Coordinate j uses substream ``key.substream_index + j`` for the first
-    motion and ``key.substream_index + m + j`` for the second.
-    """
-    _check_dimension(m)
-    base = key.substream_index
-    total = np.zeros(len(grid))
-    for j in range(m):
-        b = sample_bm(grid, key.with_substream(base + j)).values
-        b_tilde = sample_bm(grid, key.with_substream(base + m + j)).values
-        total += b * b_tilde
-    return SamplePath(grid, total)
+    """Row 0 of :func:`scalar_product_batch` on ``grid``, exactly 0 at time 0."""
+    return SamplePath(grid, np.append(0.0, scalar_product_batch(grid.points[1:], m, key, 1)[0]))

@@ -21,18 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import StreamKey, ln_gamma
-from .paths import SamplePath, TimeGrid, _bm_at, _check_dimension
+from .paths import SamplePath, _brownian, _check_dimension, _checked_times
+from .paths import scalar_product_batch, squared_bessel_batch
 
 __all__ = [
     "NormingConstants",
     "bessel_constants",
     "scalar_constants",
     "generic_constants",
-    "sample_local_bessel",
-    "sample_local_scalar",
     "max_process",
-    "local_bessel_times",
-    "local_scalar_times",
     "local_bessel_batch",
     "local_bessel_split_batch",
     "local_scalar_batch",
@@ -132,52 +129,6 @@ def generic_constants(K, c, beta, n) -> NormingConstants:
     )
 
 
-def local_bessel_times(ts, n, m: int) -> np.ndarray:
-    """Physical evaluation times 1 + t/b for the rescaled chi-square process."""
-    b = bessel_constants(n, m).b
-    return 1.0 + np.asarray(ts, dtype=float) / b
-
-
-def local_scalar_times(ts, n, m: int) -> np.ndarray:
-    """Physical evaluation times 1 + t/(2b) for the rescaled scalar-product process."""
-    b = scalar_constants(n, m).b
-    return 1.0 + np.asarray(ts, dtype=float) / (2.0 * b)
-
-
-def sample_local_bessel(grid: TimeGrid, n, m: int, key: StreamKey) -> SamplePath:
-    """One rescaled squared Bessel path on the local clock.
-
-    The base process is simulated with exact increments at the physical times
-    1 + t/b (including the initial segment up to time 1) and then centred and
-    scaled:  value(t) = (xi(1 + t/b) - b (1 + t/b)) / 2.
-    """
-    consts = bessel_constants(n, m)
-    phys = 1.0 + grid.points / consts.b
-    total = np.zeros(len(grid))
-    base = key.substream_index
-    for j in range(m):
-        rng = key.with_substream(base + j).generator()
-        total += _bm_at(phys, rng) ** 2
-    return SamplePath(grid, (total - consts.b * phys) / 2.0)
-
-
-def sample_local_scalar(grid: TimeGrid, n, m: int, key: StreamKey) -> SamplePath:
-    """One rescaled scalar-product path on the local clock.
-
-    value(t) = gamma(1 + t/(2b)) - b (1 + t/(2b)) with b the scalar-family
-    centering constant.
-    """
-    consts = scalar_constants(n, m)
-    phys = 1.0 + grid.points / (2.0 * consts.b)
-    total = np.zeros(len(grid))
-    base = key.substream_index
-    for j in range(m):
-        b1 = _bm_at(phys, key.with_substream(base + j).generator())
-        b2 = _bm_at(phys, key.with_substream(base + m + j).generator())
-        total += b1 * b2
-    return SamplePath(grid, total - consts.b * phys)
-
-
 def max_process(paths) -> SamplePath:
     """Pointwise maximum of sample paths living on one common grid."""
     paths = list(paths)
@@ -190,31 +141,15 @@ def max_process(paths) -> SamplePath:
     return SamplePath(grid, np.maximum.reduce([p.values for p in paths]))
 
 
-def _checked_times(ts):
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("ts must be a nonempty 1-d array of times")
-    if np.any(ts < 0) or not np.all(np.diff(ts) > 0):
-        raise ValueError("ts must be nonnegative and strictly increasing")
-    return ts
-
-
 def local_bessel_batch(ts, n, m: int, key: StreamKey, count: int) -> np.ndarray:
     """``count`` i.i.d. copies of the rescaled chi-square process at clock times ``ts``.
 
-    Returns shape (count, len(ts)).  All rows come from the single stream at
-    ``key``; use this for bulk marginal studies where per-row keys are not
-    needed.
+    :func:`squared_bessel_batch` at the physical times 1 + t/b, centred and
+    scaled: value(t) = (xi(1 + t/b) - b (1 + t/b)) / 2.
     """
     consts = bessel_constants(n, m)
-    ts = _checked_times(ts)
-    phys = 1.0 + ts / consts.b
-    steps = np.diff(phys, prepend=0.0)
-    rng = key.generator()
-    z = rng.standard_normal((count, m, phys.size))
-    bm = np.cumsum(z * np.sqrt(steps), axis=2)
-    xi = np.einsum("ijk,ijk->ik", bm, bm)
-    return (xi - consts.b * phys) / 2.0
+    phys = 1.0 + _checked_times(ts) / consts.b
+    return (squared_bessel_batch(phys, m, key, count) - consts.b * phys) / 2.0
 
 
 def local_bessel_split_batch(ts, n, m: int, key: StreamKey, count: int) -> np.ndarray:
@@ -229,15 +164,15 @@ def local_bessel_split_batch(ts, n, m: int, key: StreamKey, count: int) -> np.nd
         R(t)  = sum_j B_j(1) B*_j(t) / sqrt(b),
         delta = sum_j B*_j(t)^2 / (2 b).
 
-    This sampler draws the pieces independently; it must agree in law with
-    the direct sampler, which the test suite checks by two-sample statistics.
+    This sampler draws the pieces independently from the stream at ``key``:
+    first all B(1), then all B*.  It must agree in law with the direct
+    sampler, which the test suite checks by two-sample statistics.
     """
     consts = bessel_constants(n, m)
     ts = _checked_times(ts)
     rng = key.generator()
     b1 = rng.standard_normal((count, m))
-    z = rng.standard_normal((count, m, ts.size))
-    bstar = np.cumsum(z * np.sqrt(np.diff(ts, prepend=0.0)), axis=2)
+    bstar = _brownian(ts, rng, (count, m))
     x = (np.einsum("ij,ij->i", b1, b1) - consts.b) / 2.0
     r = np.einsum("ij,ijk->ik", b1, bstar) / math.sqrt(consts.b)
     delta = np.einsum("ijk,ijk->ik", bstar, bstar) / (2.0 * consts.b)
@@ -245,15 +180,11 @@ def local_bessel_split_batch(ts, n, m: int, key: StreamKey, count: int) -> np.nd
 
 
 def local_scalar_batch(ts, n, m: int, key: StreamKey, count: int) -> np.ndarray:
-    """``count`` i.i.d. copies of the rescaled scalar-product process at ``ts``."""
+    """``count`` i.i.d. copies of the rescaled scalar-product process at ``ts``.
+
+    :func:`scalar_product_batch` at the physical times 1 + t/(2b), centred:
+    value(t) = gamma(1 + t/(2b)) - b (1 + t/(2b)).
+    """
     consts = scalar_constants(n, m)
-    ts = _checked_times(ts)
-    phys = 1.0 + ts / (2.0 * consts.b)
-    steps = np.diff(phys, prepend=0.0)
-    rng = key.generator()
-    z = rng.standard_normal((count, m, phys.size))
-    z_tilde = rng.standard_normal((count, m, phys.size))
-    bm = np.cumsum(z * np.sqrt(steps), axis=2)
-    bm_tilde = np.cumsum(z_tilde * np.sqrt(steps), axis=2)
-    gamma = np.einsum("ijk,ijk->ik", bm, bm_tilde)
-    return gamma - consts.b * phys
+    phys = 1.0 + _checked_times(ts) / (2.0 * consts.b)
+    return scalar_product_batch(phys, m, key, count) - consts.b * phys

@@ -74,12 +74,10 @@ class TailParams:
 
 @dataclass(frozen=True)
 class TailFunction:
-    """A survival function together with a label and the region where tail
-    asymptotics are meaningful."""
+    """A survival function together with a label."""
 
     survival: Callable[[float], float]
     name: str
-    support_hint: float = 0.0
 
 
 def chi_square_density(m: int, x) -> float:
@@ -142,7 +140,6 @@ def chi_square_tail_fn(m: int) -> TailFunction:
     return TailFunction(
         survival=lambda x: chi_square_tail(m, max(x, 0.0)),
         name=f"chi_square({m})",
-        support_hint=float(m),
     )
 
 
@@ -154,7 +151,7 @@ def laplace_tail_fn() -> TailFunction:
             return 0.5 * math.exp(-x)
         return 1.0 - 0.5 * math.exp(x)
 
-    return TailFunction(survival=survival, name="laplace", support_hint=0.0)
+    return TailFunction(survival=survival, name="laplace")
 
 
 def weibull_product_tail(params: TailParams, x) -> float:

@@ -137,8 +137,9 @@ class TestFormats:
     def test_stdout_when_no_out(self, capsys):
         code = run(["constants", "--process", "bessel", "--m", "2", "--n", "10", "--seed", "1"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert '"schema": "bessel-br/1"' in out
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["schema"] == "bessel-br/1"
+        assert "PASS" in captured.err.splitlines()
 
 
 class TestConfigEcho:

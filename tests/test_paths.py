@@ -11,6 +11,8 @@ from besselbr.paths import (
     sample_bm,
     sample_scalar_product,
     sample_squared_bessel,
+    scalar_product_batch,
+    squared_bessel_batch,
 )
 from besselbr.stats import EmpiricalSample, ks_statistic, two_sample_ks
 
@@ -189,6 +191,24 @@ class TestGridRefinement:
             two_sample_ks(EmpiricalSample(increment[0]), EmpiricalSample(increment[1]))
             <= TWO_SAMPLE_1PCT_1E4
         )
+
+
+class TestBatchViews:
+    @pytest.mark.parametrize(
+        "sampler, batch",
+        [
+            (sample_squared_bessel, squared_bessel_batch),
+            (sample_scalar_product, scalar_product_batch),
+        ],
+    )
+    def test_path_is_row_zero_of_batch(self, sampler, batch):
+        # per-path samplers spend no draw on t = 0 and read row 0 of a batch
+        grid = make_dyadic_grid(3)
+        key = StreamKey(98, replicate_index=5)
+        path = sampler(grid, 3, key)
+        assert path.values[0] == 0.0
+        row = batch(grid.points[1:], 3, key, 1)[0]
+        assert path.values[1:].tobytes() == row.tobytes()
 
 
 class TestDeterminism:

@@ -4,17 +4,14 @@ import numpy as np
 import pytest
 
 from besselbr.numerics import StreamKey
-from besselbr.paths import SamplePath, TimeGrid, make_dyadic_grid
+from besselbr.paths import SamplePath, make_dyadic_grid, scalar_product_batch, squared_bessel_batch
 from besselbr.rescale import (
     bessel_constants,
     generic_constants,
     local_bessel_batch,
     local_bessel_split_batch,
-    local_bessel_times,
-    local_scalar_times,
+    local_scalar_batch,
     max_process,
-    sample_local_bessel,
-    sample_local_scalar,
     scalar_constants,
 )
 from besselbr.stats import EmpiricalSample, ks_statistic, two_sample_ks
@@ -128,80 +125,55 @@ class TestExactIntensityIdentity:
 
 
 class TestLocalTimes:
+    # the rescaled batches are the base batches on the window 1 + t/b
+    # (1 + t/(2b) for the scalar family), drawn from the same stream
     def test_bessel_window(self):
         ts = np.linspace(0.0, 1.0, 11)
-        b = bessel_constants(10**4, 2).b
-        phys = local_bessel_times(ts, 10**4, 2)
-        assert np.allclose(phys, 1.0 + ts / b, rtol=0, atol=0)
-        assert phys[0] == 1.0 and phys[-1] == pytest.approx(1.0 + 1.0 / b)
+        n, m, key = 10**4, 3, StreamKey(12, replicate_index=4)
+        b = bessel_constants(n, m).b
+        phys = 1.0 + ts / b
+        expected = (squared_bessel_batch(phys, m, key, 50) - b * phys) / 2.0
+        assert local_bessel_batch(ts, n, m, key, 50).tobytes() == expected.tobytes()
 
     def test_scalar_window(self):
         ts = np.linspace(0.0, 1.0, 11)
-        b = scalar_constants(10**4, 2).b
-        phys = local_scalar_times(ts, 10**4, 2)
-        assert np.allclose(phys, 1.0 + ts / (2.0 * b), rtol=0, atol=0)
-        assert np.all((phys >= 1.0) & (phys <= 1.0 + 1.0 / (2.0 * b)))
-
-
-@pytest.fixture(scope="module")
-def local_bessel_at_zero():
-    grid = TimeGrid([0.0, 1.0])
-    key = StreamKey(606)
-    n, m = 10**4, 2
-    return np.array(
-        [sample_local_bessel(grid, n, m, key.with_replicate(r)).values[0] for r in range(N_REPLICATES)]
-    ), bessel_constants(n, m).b
+        n, m, key = 10**4, 3, StreamKey(13, replicate_index=4)
+        b = scalar_constants(n, m).b
+        phys = 1.0 + ts / (2.0 * b)
+        expected = scalar_product_batch(phys, m, key, 50) - b * phys
+        assert local_scalar_batch(ts, n, m, key, 50).tobytes() == expected.tobytes()
 
 
 class TestLocalBessel:
-    def test_marginal_at_zero_is_chi_square(self, local_bessel_at_zero):
-        values, b = local_bessel_at_zero
-        recovered = 2.0 * values + b
+    def test_marginal_at_zero_is_chi_square(self):
+        n, m = 10**4, 2
+        values = local_bessel_batch(np.array([0.0]), n, m, StreamKey(606), N_REPLICATES)[:, 0]
+        recovered = 2.0 * values + bessel_constants(n, m).b
         ks = ks_statistic(EmpiricalSample(recovered), lambda x: 1.0 - np.exp(-x / 2.0))
         assert ks <= KS_1PCT
 
     def test_determinism(self):
-        grid = make_dyadic_grid(3)
+        ts = make_dyadic_grid(3).points
         key = StreamKey(31, replicate_index=2)
-        a = sample_local_bessel(grid, 1000, 2, key)
-        b = sample_local_bessel(grid, 1000, 2, key)
-        assert a.values.tobytes() == b.values.tobytes()
-
-    def test_batch_matches_path_sampler_in_law(self):
-        # the vectorised batch sampler and the per-path sampler are separate
-        # code paths for the same law; compare them at t = 1
-        grid = TimeGrid([0.0, 1.0])
-        key = StreamKey(632)
-        n, m, reps = 10**3, 3, 2 * 10**4
-        from_paths = np.array(
-            [sample_local_bessel(grid, n, m, key.with_replicate(r)).values[1] for r in range(reps)]
-        )
-        from_batch = local_bessel_batch(np.array([1.0]), n, m, StreamKey(633), reps)[:, 0]
-        assert two_sample_ks(EmpiricalSample(from_paths), EmpiricalSample(from_batch)) <= 0.017
+        a = local_bessel_batch(ts, 1000, 2, key, 8)
+        b = local_bessel_batch(ts, 1000, 2, key, 8)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestLocalScalar:
     def test_marginal_at_zero_is_laplace(self):
-        grid = TimeGrid([0.0, 1.0])
-        key = StreamKey(707)
         n, m = 10**4, 2
-        b = scalar_constants(n, m).b
-        values = np.array(
-            [
-                sample_local_scalar(grid, n, m, key.with_replicate(r)).values[0]
-                for r in range(N_REPLICATES)
-            ]
-        )
-        recovered = values + b
+        values = local_scalar_batch(np.array([0.0]), n, m, StreamKey(707), N_REPLICATES)[:, 0]
+        recovered = values + scalar_constants(n, m).b
         cdf = lambda x: np.where(x >= 0, 1.0 - 0.5 * np.exp(-x), 0.5 * np.exp(np.minimum(x, 0)))
         assert ks_statistic(EmpiricalSample(recovered), cdf) <= KS_1PCT
 
     def test_determinism(self):
-        grid = make_dyadic_grid(2)
+        ts = make_dyadic_grid(2).points
         key = StreamKey(41)
-        a = sample_local_scalar(grid, 500, 2, key)
-        b = sample_local_scalar(grid, 500, 2, key)
-        assert a.values.tobytes() == b.values.tobytes()
+        a = local_scalar_batch(ts, 500, 2, key, 8)
+        b = local_scalar_batch(ts, 500, 2, key, 8)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestDecompositionIdentity:
