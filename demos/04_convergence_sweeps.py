@@ -15,7 +15,7 @@ key = StreamKey(20260401)
 
 print("KS distance to Gumbel across sample counts (2000 replicates):")
 for sub, (process, m) in enumerate((("bessel", 2), ("bessel", 3), ("scalar", 2), ("bm", 1))):
-    sweep = marginal_gumbel_sweep(process, m, 1.0, [100, 1000, 10000], 2000, key.with_substream(sub))
+    sweep = marginal_gumbel_sweep(process, m, [100, 1000, 10000], 2000, key.with_substream(sub))
     path = " -> ".join(f"{v:.4f}" for v in sweep.values)
     print(f"  {process:>6} m={m}: {path}   decreasing: {sweep.decreasing}")
 

@@ -85,7 +85,7 @@ def pilot_sweeps(n_seeds):
         finals, decreasing = [], 0
         for seed in range(n_seeds):
             report = marginal_gumbel_sweep(
-                process, m, 1.0, [100, 1000, 10000], 2000, StreamKey(1000 + seed)
+                process, m, [100, 1000, 10000], 2000, StreamKey(1000 + seed)
             )
             finals.append(report.final_value)
             decreasing += report.decreasing
@@ -174,7 +174,7 @@ def scan_candidate(seed):
 
     for sub, (process, m) in zip((51, 52, 53), (("bessel", 2), ("bessel", 3), ("scalar", 2))):
         report = marginal_gumbel_sweep(
-            process, m, 1.0, [100, 1000, 10000], 2000, key.with_substream(sub)
+            process, m, [100, 1000, 10000], 2000, key.with_substream(sub)
         )
         record(f"sweep {process} m={m} final", report.final_value, 0.10)
         if not report.decreasing:
@@ -221,8 +221,8 @@ def scan_candidate(seed):
 
 def pilot_discrimination(replicates=20000):
     banner(f"dependence discrimination at {replicates} replicates")
-    from besselbr import HRParams, hr_bivariate_cdf
-    from besselbr.stats import _br_pair_sample, _local_pair_maxima, bivariate_cdf_diff
+    from besselbr import HRParams, TimeGrid, hr_bivariate_cdf
+    from besselbr.stats import _local_pair_maxima, bivariate_cdf_diff
 
     levels = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
 
@@ -235,7 +235,8 @@ def pilot_discrimination(replicates=20000):
     for process in ("bessel", "scalar"):
         pairs = _local_pair_maxima(process, 2, 0.0, 1.0, 10000, StreamKey(101), replicates, 4)
         print(f"  {process}: " + ", ".join(f"lambda={l:.3f}: {diff_vs(pairs, l):.4f}" for l in lams))
-    pairs = _br_pair_sample(0.0, 1.0, StreamKey(102), replicates, BRTruncationSpec(), 4)
+    grid = TimeGrid([0.0, 1.0])
+    pairs = sample_br_batch(grid, BRTruncationSpec(), StreamKey(102), replicates, 4)
     print("  limit simulator: " + ", ".join(f"lambda={l:.3f}: {diff_vs(pairs, l):.4f}" for l in lams))
     print("  the correct parameterisation should win by a factor of ~3")
 

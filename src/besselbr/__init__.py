@@ -28,12 +28,6 @@ from .numerics import (
     QuadratureSpec,
     StreamKey,
     integrate,
-    ln_gamma,
-    reg_gamma_upper,
-    std_normal_cdf,
-    std_normal_quantile,
-    std_normal_sample,
-    std_normal_tail,
 )
 from .paths import (
     SamplePath,
@@ -66,7 +60,6 @@ from .stats import (
     two_sample_ks,
 )
 from .tails import (
-    TailFunction,
     TailParams,
     check_condition_kk,
     check_gumbel_intensity,

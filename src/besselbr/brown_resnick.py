@@ -11,8 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sc
 
-from .numerics import StreamKey, parallel_map, std_normal_cdf, std_normal_quantile
+from .numerics import StreamKey, parallel_map
 from .paths import SamplePath, TimeGrid
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
 ]
 
 _POINT_CHUNK = 64
+BR_CHUNK = 100  # replicates per canonical chunk of sample_br_batch
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,16 @@ class TruncationError(RuntimeError):
         self.partial = partial
 
 
-def gumbel_cdf(x) -> float:
-    """Standard Gumbel distribution function exp(-exp(-x))."""
-    try:
-        return math.exp(-math.exp(-x))
-    except OverflowError:
-        return 0.0
+def gumbel_cdf(x):
+    """Standard Gumbel distribution function exp(-exp(-x)), elementwise on arrays.
+
+    A float in gives a float out; below -709 the inner exponential would
+    overflow, and the value there is 0 either way.
+    """
+    x = np.maximum(np.asarray(x, dtype=float), -709.0)
+    # not np.exp: numpy's SIMD exp differs in the last bit on 30,455 of 10^6 Gumbel draws
+    out = np.fromiter((math.exp(-math.exp(-v)) for v in x.ravel().tolist()), float, x.size)
+    return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
 def gumbel_quantile(p) -> float:
@@ -100,7 +106,7 @@ def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SampleP
     """
     arrivals = key.with_substream(key.substream_index).generator()
     wiener = key.with_substream(key.substream_index + 1).generator()
-    c_eps = std_normal_quantile(1.0 - spec.epsilon / 2.0)
+    c_eps = float(sc.ndtri(1.0 - spec.epsilon / 2.0))
 
     pts = grid.points
     drift = -pts / 2.0
@@ -141,17 +147,18 @@ def sample_br_batch(
 ) -> np.ndarray:
     """Matrix of ``replicates`` independent Brown-Resnick paths, one per row.
 
-    Replicate r uses ``key.with_replicate(r)``, so the output is byte-stable
-    under any thread count.
+    Replicate r uses ``key.with_replicate(r)``; the pool runs fixed chunks of
+    ``BR_CHUNK`` replicates, so the output is byte-stable under any thread
+    count.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
 
-    def one(r):
-        return sample_br(grid, spec, key.with_replicate(r)).values
+    def chunk(c):
+        rows = range(c * BR_CHUNK, min(replicates, (c + 1) * BR_CHUNK))
+        return np.vstack([sample_br(grid, spec, key.with_replicate(r)).values for r in rows])
 
-    rows = parallel_map(one, replicates, threads)
-    return np.vstack(rows)
+    return np.concatenate(parallel_map(chunk, -(-replicates // BR_CHUNK), threads))
 
 
 def hr_lambda(s, t) -> HRParams:
@@ -163,23 +170,21 @@ def hr_lambda(s, t) -> HRParams:
     return HRParams(math.sqrt(abs(t - s)) / 2.0)
 
 
-def hr_bivariate_cdf(x, y, p: HRParams) -> float:
+def hr_bivariate_cdf(x, y, p: HRParams):
     """Husler-Reiss bivariate distribution function with Gumbel margins.
 
     F(x, y) = exp(-e^{-x} Phi(lam + (y-x)/(2 lam)) - e^{-y} Phi(lam + (x-y)/(2 lam)))
     with the complete-dependence (lam = 0) and independence (lam = inf) limits.
+    ``x`` and ``y`` broadcast against each other; floats in give a float out.
     """
     lam = p.lam
     if lam == 0.0:
-        return gumbel_cdf(min(x, y))
+        return gumbel_cdf(np.minimum(x, y))
     if math.isinf(lam):
         return gumbel_cdf(x) * gumbel_cdf(y)
     z = (y - x) / (2.0 * lam)
-    return float(
-        np.exp(
-            -np.exp(-x) * std_normal_cdf(lam + z) - np.exp(-y) * std_normal_cdf(lam - z)
-        )
-    )
+    out = np.exp(-np.exp(-x) * sc.ndtr(lam + z) - np.exp(-y) * sc.ndtr(lam - z))
+    return out if out.ndim else float(out)
 
 
 def extremal_coefficient(p: HRParams) -> float:
@@ -187,4 +192,4 @@ def extremal_coefficient(p: HRParams) -> float:
     theta = 2 Phi(lambda), clamped to [1, 2]."""
     if math.isinf(p.lam):
         return 2.0
-    return float(min(2.0, max(1.0, 2.0 * std_normal_cdf(p.lam))))
+    return float(min(2.0, max(1.0, 2.0 * sc.ndtr(p.lam))))

@@ -1,4 +1,4 @@
-"""Special functions, certified quadrature, and reproducible random streams.
+"""Certified quadrature, reproducible random streams and the thread-pool map.
 
 Everything stochastic in this package draws its randomness through
 :class:`StreamKey`.  A key is the triple (master_seed, replicate_index,
@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special as sc
 from scipy.integrate import quad
 
 __all__ = [
@@ -20,13 +19,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureError",
     "DEFAULT_QUADRATURE",
-    "ln_gamma",
-    "reg_gamma_upper",
-    "std_normal_cdf",
-    "std_normal_tail",
-    "std_normal_quantile",
     "integrate",
-    "std_normal_sample",
     "parallel_map",
 ]
 
@@ -69,46 +62,6 @@ class StreamKey:
             spawn_key=(self.replicate_index, self.substream_index),
         )
         return np.random.Generator(np.random.Philox(seq))
-
-
-def std_normal_sample(key: StreamKey, count: int) -> np.ndarray:
-    """`count` i.i.d. N(0,1) draws from the stream at `key`."""
-    if count < 0 or int(count) != count:
-        raise ValueError(f"count must be a nonnegative integer, got {count}")
-    return key.generator().standard_normal(int(count))
-
-
-def ln_gamma(x) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return float(sc.gammaln(x))
-
-
-def reg_gamma_upper(a, x) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a)."""
-    if not a > 0:
-        raise ValueError(f"reg_gamma_upper requires a > 0, got {a}")
-    if not x >= 0:
-        raise ValueError(f"reg_gamma_upper requires x >= 0, got {x}")
-    return float(sc.gammaincc(a, x))
-
-
-def std_normal_cdf(x) -> float:
-    """Phi(x), the standard normal distribution function."""
-    return float(sc.ndtr(x))
-
-
-def std_normal_tail(x) -> float:
-    """Phi-bar(x) = 1 - Phi(x), evaluated without cancellation."""
-    return float(sc.ndtr(-x))
-
-
-def std_normal_quantile(p) -> float:
-    """Inverse of Phi on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"std_normal_quantile requires p in (0, 1), got {p}")
-    return float(sc.ndtri(p))
 
 
 @dataclass(frozen=True)

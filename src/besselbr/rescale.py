@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sc
 
-from .numerics import StreamKey, ln_gamma
+from .numerics import StreamKey
 from .paths import SamplePath, _brownian, _check_dimension, _checked_times
 from .paths import scalar_product_batch, squared_bessel_batch
 
@@ -89,8 +90,8 @@ def bessel_constants(n, m: int) -> NormingConstants:
     """
     n = _check_count(n)
     _check_dimension(m)
-    b = 2.0 * math.log(n) + (m - 2.0) * math.log(math.log(n)) - 2.0 * ln_gamma(m / 2.0)
-    return NormingConstants(a=2.0, b=b, kind="bessel", n=n, m=int(m))
+    b = 2.0 * math.log(n) + (m - 2.0) * math.log(math.log(n)) - 2.0 * sc.gammaln(m / 2.0)
+    return NormingConstants(a=2.0, b=float(b), kind="bessel", n=n, m=int(m))
 
 
 def scalar_constants(n, m: int) -> NormingConstants:
@@ -108,9 +109,9 @@ def scalar_constants(n, m: int) -> NormingConstants:
         math.log(n)
         + (m / 2.0 - 1.0) * math.log(math.log(n))
         - (m / 2.0) * _LN2
-        - ln_gamma(m / 2.0)
+        - sc.gammaln(m / 2.0)
     )
-    return NormingConstants(a=1.0, b=b, kind="scalar", n=n, m=int(m))
+    return NormingConstants(a=1.0, b=float(b), kind="scalar", n=n, m=int(m))
 
 
 def generic_constants(K, c, beta, n) -> NormingConstants:

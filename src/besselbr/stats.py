@@ -28,7 +28,7 @@ from .brown_resnick import (
     gumbel_cdf,
     hr_bivariate_cdf,
     hr_lambda,
-    sample_br,
+    sample_br_batch,
 )
 from .numerics import StreamKey, parallel_map
 from .paths import TimeGrid, _check_dimension
@@ -60,49 +60,36 @@ _PROCESSES = ("bessel", "scalar", "bm")
 
 
 class EmpiricalSample:
-    """A batch of real observations, optionally pre-sorted."""
+    """A batch of real observations."""
 
-    __slots__ = ("values", "is_sorted")
+    __slots__ = ("values",)
 
-    def __init__(self, values, is_sorted: bool = False):
+    def __init__(self, values):
         vals = np.asarray(values, dtype=float).ravel()
         if vals.size and not np.all(np.isfinite(vals)):
             raise ValueError("sample values must be finite")
-        if is_sorted and vals.size > 1 and np.any(np.diff(vals) < 0):
-            raise ValueError("sample flagged as sorted is not sorted")
         self.values = vals
-        self.is_sorted = bool(is_sorted)
 
     def __len__(self):
         return self.values.size
 
     @property
     def sorted_values(self) -> np.ndarray:
-        return self.values if self.is_sorted else np.sort(self.values)
-
-
-def _eval_cdf(cdf, xs: np.ndarray) -> np.ndarray:
-    if xs.size > 1:  # scalar-only callables raise on arrays; fall through
-        try:
-            vals = np.asarray(cdf(xs), dtype=float)
-            if vals.shape == xs.shape:
-                return vals
-        except (TypeError, ValueError):
-            pass
-    return np.fromiter((float(cdf(x)) for x in xs), dtype=float, count=xs.size)
+        return np.sort(self.values)
 
 
 def ks_statistic(sample: EmpiricalSample, cdf) -> float:
     """sup-norm distance between the empirical CDF and ``cdf``.
 
-    Both one-sided gaps at every jump point are taken, so the value is the
-    exact Kolmogorov-Smirnov statistic.
+    ``cdf`` is called once, on the sorted sample array, and must return an
+    array of the same shape.  Both one-sided gaps at every jump point are
+    taken, so the value is the exact Kolmogorov-Smirnov statistic.
     """
     xs = sample.sorted_values
     n = xs.size
     if n == 0:
         raise ValueError("ks_statistic needs a nonempty sample")
-    f = _eval_cdf(cdf, xs)
+    f = cdf(xs)
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return float(max(upper, lower))
@@ -120,19 +107,21 @@ def two_sample_ks(a: EmpiricalSample, b: EmpiricalSample) -> float:
 
 
 def bivariate_cdf_diff(pairs, model, grid) -> float:
-    """max over ``grid`` of |empirical joint CDF of ``pairs`` - model(x, y)|."""
+    """max over ``grid`` of |empirical joint CDF of ``pairs`` - model(x, y)|.
+
+    ``grid`` is a sequence of (x, y) points.  ``model`` is called once, on
+    the arrays of grid abscissae and ordinates, and must return an array of
+    their shape.
+    """
     pts = np.asarray(pairs, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise ValueError("pairs must be a nonempty (N, 2) array")
-    grid = list(grid)
-    if not grid:
+    grid = np.asarray(list(grid), dtype=float).reshape(-1, 2)
+    if not grid.size:
         raise ValueError("evaluation grid must be nonempty")
-    x, y = pts[:, 0], pts[:, 1]
-    worst = 0.0
-    for gx, gy in grid:
-        empirical = float(np.mean((x <= gx) & (y <= gy)))
-        worst = max(worst, abs(empirical - float(model(gx, gy))))
-    return worst
+    gx, gy = grid.T
+    empirical = np.mean((pts[:, 0] <= gx[:, None]) & (pts[:, 1] <= gy[:, None]), axis=1)
+    return float(np.max(np.abs(empirical - model(gx, gy))))
 
 
 @dataclass(frozen=True)
@@ -180,7 +169,7 @@ def _laplace_upper_quantile(q: np.ndarray) -> np.ndarray:
     return np.where(q <= 0.5, -np.log(2.0 * q), np.log(2.0 * (1.0 - q)))
 
 
-def _coupled_normalized_max(process, m, t, n, u):
+def _coupled_normalized_max(process, m, n, u):
     # maximum of n i.i.d. base marginals drawn through the exact inverse CDF
     # of the maximum: q = P(max survival) = 1 - U^{1/n}, evaluated stably.
     q = -np.expm1(np.log(u) / n)
@@ -191,25 +180,23 @@ def _coupled_normalized_max(process, m, t, n, u):
         mx = _laplace_upper_quantile(q)
         consts = scalar_constants(n, m)
     else:  # bm
-        mx = -sc.ndtri(q)
         a, b = _normal_maxima_constants(n)
-        return (math.sqrt(t) * mx - b * math.sqrt(t)) / (a * math.sqrt(t))
-    return (t * mx - consts.b * t) / (consts.a * t)
+        return (-sc.ndtri(q) - b) / a
+    return (mx - consts.b) / consts.a
 
 
-def _raw_normalized_max(process, m, t, n, count, rng):
+def _raw_normalized_max(process, m, n, count, rng):
     # fallback for laws without a usable quantile: draw the n base values
     if process != "scalar":
         raise ValueError(f"no raw sampler needed for process {process!r}")
     draws = rng.standard_normal((count, n)) * np.sqrt(rng.chisquare(m, (count, n)))
     consts = scalar_constants(n, m)
-    return (t * draws.max(axis=1) - consts.b * t) / (consts.a * t)
+    return (draws.max(axis=1) - consts.b) / consts.a
 
 
 def marginal_gumbel_sweep(
     process: str,
     m: int,
-    t: float,
     ns,
     replicates: int,
     key: StreamKey,
@@ -218,17 +205,15 @@ def marginal_gumbel_sweep(
 ) -> SweepReport:
     """KS distance to the Gumbel law of normalised maxima, for each n in ``ns``.
 
-    ``process`` selects the base marginal: "bessel" (chi-square(m) scaled by
-    t), "scalar" (the m-term product sum scaled by t) or "bm" (N(0, t) with
-    the classical normal norming constants, as a sanity baseline).  Maxima
-    are sampled directly from the known one-dimensional laws; no paths are
-    simulated.  Fixed key, fixed output, for every thread count.
+    ``process`` selects the base marginal at time 1: "bessel" (chi-square(m)),
+    "scalar" (the m-term product sum) or "bm" (N(0, 1) with the classical
+    normal norming constants, as a sanity baseline).  Maxima are sampled
+    directly from the known one-dimensional laws; no paths are simulated.
+    Fixed key, fixed output, for every thread count.
     """
     if process not in _PROCESSES:
         raise ValueError(f"process must be one of {_PROCESSES}, got {process!r}")
     _check_dimension(m)
-    if not t > 0:
-        raise ValueError(f"sweep time t must be positive, got {t}")
     ns = [int(n) for n in ns]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 2:
         raise ValueError("ns must be strictly increasing sample counts >= 2")
@@ -245,11 +230,11 @@ def marginal_gumbel_sweep(
         if coupled:
             u = key.with_replicate(c).generator().random(count)
             for j, n in enumerate(ns):
-                block[j] = _coupled_normalized_max(process, m, t, n, u)
+                block[j] = _coupled_normalized_max(process, m, n, u)
         else:
             for j, n in enumerate(ns):
                 rng = key.with_replicate(c).with_substream(j + 1).generator()
-                block[j] = _raw_normalized_max(process, m, t, n, count, rng)
+                block[j] = _raw_normalized_max(process, m, n, count, rng)
         return block
 
     samples = np.concatenate(parallel_map(worker, n_chunks, threads), axis=1)
@@ -280,25 +265,6 @@ def _local_pair_maxima(process, m, s, t, n, key, replicates, threads):
     if s > t:
         pairs = pairs[:, ::-1]
     return pairs
-
-
-def _br_pair_sample(s, t, key, replicates, br_spec, threads):
-    times = sorted({0.0, s, t, 1.0})
-    grid = TimeGrid(times)
-    i_s, i_t = grid.index_of(s), grid.index_of(t)
-
-    def worker(c):
-        lo = c * FDD_CHUNK
-        count = min(replicates, lo + FDD_CHUNK) - lo
-        out = np.empty((count, 2))
-        for i in range(count):
-            values = sample_br(grid, br_spec, key.with_replicate(lo + i)).values
-            out[i, 0] = values[i_s]
-            out[i, 1] = values[i_t]
-        return out
-
-    n_chunks = -(-replicates // FDD_CHUNK)
-    return np.concatenate(parallel_map(worker, n_chunks, threads), axis=0)
 
 
 def fdd_check(
@@ -332,7 +298,9 @@ def fdd_check(
         raise ValueError("replicates must be positive")
 
     if process == "br":
-        pairs = _br_pair_sample(s, t, key, replicates, br_spec or BRTruncationSpec(), threads)
+        grid = TimeGrid(sorted({0.0, s, t, 1.0}))
+        paths = sample_br_batch(grid, br_spec or BRTruncationSpec(), key, replicates, threads)
+        pairs = paths[:, [grid.index_of(s), grid.index_of(t)]]
     elif process in ("bessel", "scalar"):
         _check_dimension(m)
         if not n >= 2:

@@ -13,21 +13,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special as sc
 
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    integrate,
-    ln_gamma,
-    reg_gamma_upper,
-    std_normal_tail,
-)
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 from .paths import _check_dimension
 from .rescale import NormingConstants
 
 __all__ = [
     "TailParams",
-    "TailFunction",
     "chi_square_density",
     "chi_square_tail",
     "chi_square_tail_asymptotic",
@@ -72,27 +65,21 @@ class TailParams:
         )
 
 
-@dataclass(frozen=True)
-class TailFunction:
-    """A survival function together with a label."""
-
-    survival: Callable[[float], float]
-    name: str
-
-
 def chi_square_density(m: int, x) -> float:
     """Density of the chi-square law with m degrees of freedom at x > 0."""
     _check_dimension(m)
     if not x > 0:
         raise ValueError(f"chi_square_density requires x > 0, got {x}")
     half = 0.5 * m
-    return math.exp((half - 1.0) * math.log(x) - 0.5 * x - half * _LN2 - ln_gamma(half))
+    return math.exp((half - 1.0) * math.log(x) - 0.5 * x - half * _LN2 - sc.gammaln(half))
 
 
 def chi_square_tail(m: int, x) -> float:
-    """Exact chi-square survival P(chi2_m > x) = Q(m/2, x/2)."""
+    """Exact chi-square survival P(chi2_m > x) = Q(m/2, x/2) for x >= 0."""
     _check_dimension(m)
-    return reg_gamma_upper(m / 2.0, x / 2.0)
+    if not x >= 0:
+        raise ValueError(f"chi_square_tail requires x >= 0, got {x}")
+    return float(sc.gammaincc(m / 2.0, x / 2.0))
 
 
 def chi_square_tail_asymptotic(m: int, x) -> float:
@@ -104,7 +91,7 @@ def chi_square_tail_asymptotic(m: int, x) -> float:
     if not x > 0:
         raise ValueError(f"asymptotic tail requires x > 0, got {x}")
     half = 0.5 * m
-    return math.exp((half - 1.0) * math.log(x) - 0.5 * x - (half - 1.0) * _LN2 - ln_gamma(half))
+    return math.exp((half - 1.0) * math.log(x) - 0.5 * x - (half - 1.0) * _LN2 - sc.gammaln(half))
 
 
 def scalar_product_tail_asymptotic(m: int, x) -> float:
@@ -117,41 +104,38 @@ def scalar_product_tail_asymptotic(m: int, x) -> float:
     if not x > 0:
         raise ValueError(f"asymptotic tail requires x > 0, got {x}")
     half = 0.5 * m
-    return math.exp((half - 1.0) * math.log(x) - x - half * _LN2 - ln_gamma(half))
+    return math.exp((half - 1.0) * math.log(x) - x - half * _LN2 - sc.gammaln(half))
 
 
 def chi_square_tail_params(m: int) -> tuple[float, float, float]:
     """(K, c, beta) with P(chi2_m > u) ~ K u^beta e^{-c u}."""
     _check_dimension(m)
     half = 0.5 * m
-    return math.exp(-(half - 1.0) * _LN2 - ln_gamma(half)), 0.5, half - 1.0
+    return math.exp(-(half - 1.0) * _LN2 - sc.gammaln(half)), 0.5, half - 1.0
 
 
 def scalar_product_tail_params(m: int) -> tuple[float, float, float]:
     """(K, c, beta) with P(sum X_j Y_j > u) ~ K u^beta e^{-c u}."""
     _check_dimension(m)
     half = 0.5 * m
-    return math.exp(-half * _LN2 - ln_gamma(half)), 1.0, half - 1.0
+    return math.exp(-half * _LN2 - sc.gammaln(half)), 1.0, half - 1.0
 
 
-def chi_square_tail_fn(m: int) -> TailFunction:
-    """Exact chi-square survival packaged for the condition verifiers."""
+def chi_square_tail_fn(m: int) -> Callable[[float], float]:
+    """Exact chi-square survival function for the condition verifiers."""
     _check_dimension(m)
-    return TailFunction(
-        survival=lambda x: chi_square_tail(m, max(x, 0.0)),
-        name=f"chi_square({m})",
-    )
+    return lambda x: chi_square_tail(m, max(x, 0.0))
 
 
-def laplace_tail_fn() -> TailFunction:
-    """Exact standard Laplace survival (the m = 2 product-sum law)."""
+def laplace_tail_fn() -> Callable[[float], float]:
+    """Exact standard Laplace survival function (the m = 2 product-sum law)."""
 
     def survival(x):
         if x >= 0:
             return 0.5 * math.exp(-x)
         return 1.0 - 0.5 * math.exp(x)
 
-    return TailFunction(survival=survival, name="laplace")
+    return survival
 
 
 def weibull_product_tail(params: TailParams, x) -> float:
@@ -210,13 +194,13 @@ def product_tail_oracle(m: int, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) ->
         raise ValueError(f"product_tail_oracle requires x > 0, got {x}")
 
     def integrand(s):
-        return std_normal_tail(x / math.sqrt(s)) * chi_square_density(m, s)
+        return sc.ndtr(-x / math.sqrt(s)) * chi_square_density(m, s)
 
     return integrate(integrand, 0.0, x, spec) + integrate(integrand, x, np.inf, spec)
 
 
-def check_gumbel_intensity(tail: TailFunction, consts: NormingConstants, s, ns) -> list[float]:
-    """The sequence n * P(Y > a_n s + b_n) for each n in ``ns``.
+def check_gumbel_intensity(survival, consts: NormingConstants, s, ns) -> list[float]:
+    """The sequence n * P(Y > a_n s + b_n) for each n in ``ns``, P given by ``survival``.
 
     Converges to exp(-s) when (a_n, b_n) are the Gumbel norming constants of
     the tail; callers assert the convergence (it is exact for the m = 2 laws
@@ -225,7 +209,7 @@ def check_gumbel_intensity(tail: TailFunction, consts: NormingConstants, s, ns) 
     out = []
     for n in ns:
         c = consts.at(n)
-        out.append(float(n) * float(tail.survival(c.a * s + c.b)))
+        out.append(float(n) * float(survival(c.a * s + c.b)))
     return out
 
 

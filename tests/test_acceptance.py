@@ -140,7 +140,7 @@ def test_criterion_05_marginal_gumbel_sweeps():
     ok = True
     for substream, (process, m) in zip((51, 52, 53), (("bessel", 2), ("bessel", 3), ("scalar", 2))):
         sweep = marginal_gumbel_sweep(
-            process, m, 1.0, [100, 1000, 10000], 2000, KEY.with_substream(substream)
+            process, m, [100, 1000, 10000], 2000, KEY.with_substream(substream)
         )
         good = sweep.decreasing and sweep.final_value <= 0.10
         ok = ok and good

@@ -15,7 +15,7 @@ from besselbr.brown_resnick import (
     sample_br,
     sample_br_batch,
 )
-from besselbr.numerics import StreamKey, std_normal_cdf
+from besselbr.numerics import StreamKey
 from besselbr.paths import make_dyadic_grid
 from besselbr.stats import EmpiricalSample, ks_statistic, two_sample_ks
 
@@ -37,6 +37,20 @@ class TestGumbel:
     def test_quantile_round_trip(self):
         for p in (0.01, 0.4, 0.97):
             assert gumbel_cdf(gumbel_quantile(p)) == pytest.approx(p, abs=1e-12)
+
+    def test_array_matches_math_exp_bytes(self):
+        def reference(x):
+            try:
+                return math.exp(-math.exp(-x))
+            except OverflowError:
+                return 0.0
+
+        draws = -np.log(-np.log(StreamKey(2040).generator().random(10**5)))
+        xs = np.concatenate([draws, [-800.0, -709.9, -709.5, -709.0, math.inf, -math.inf]])
+        expected = np.array([reference(x) for x in xs.tolist()])
+        assert gumbel_cdf(xs).tobytes() == expected.tobytes()
+        assert gumbel_cdf(xs.reshape(2, -1)).tobytes() == expected.tobytes()
+        assert isinstance(gumbel_cdf(0.5), float) and gumbel_cdf(0.5) == reference(0.5)
 
 
 class TestHRLambda:
@@ -84,6 +98,18 @@ class TestHRBivariate:
             math.exp(theta * math.log(gumbel_cdf(x))), abs=1e-12
         )
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 2.0, math.inf])
+    def test_arrays_match_elementwise_calls(self, lam):
+        p = HRParams(lam)
+        levels = np.concatenate([np.linspace(-3.0, 4.0, 29), [-30.0, 40.0]])
+        values = hr_bivariate_cdf(levels[:, None], levels[None, :], p)
+        expected = [[hr_bivariate_cdf(x, y, p) for y in levels.tolist()] for x in levels.tolist()]
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert hr_bivariate_cdf(levels, levels[::-1], p).tobytes() == np.diag(
+            np.array(expected)[:, ::-1]
+        ).tobytes()
+        assert isinstance(hr_bivariate_cdf(0.5, -0.5, p), float)
+
     def test_monotone_and_frechet_bounds(self):
         levels = np.linspace(-2.0, 3.0, 5)
         for lam in (0.0, 0.3, 0.8, 5.0):
@@ -105,7 +131,7 @@ class TestExtremalCoefficient:
 
     def test_half(self):
         assert extremal_coefficient(HRParams(0.5)) == pytest.approx(
-            2.0 * std_normal_cdf(0.5), abs=1e-14
+            1.0 + math.erf(0.5 / math.sqrt(2.0)), abs=1e-14
         )
         assert extremal_coefficient(HRParams(0.5)) == pytest.approx(1.38292, abs=1e-5)
 
@@ -138,6 +164,17 @@ class TestSampleBR:
         a = sample_br(grid, spec, key)
         b = sample_br(grid, spec, key)
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_batch_is_thread_invariant_stack_of_paths(self):
+        # 250 replicates cross the fixed chunk boundaries of the batch runner
+        grid = make_dyadic_grid(2)
+        spec = BRTruncationSpec()
+        key = StreamKey(2041)
+        single = sample_br_batch(grid, spec, key, 250, threads=1)
+        pooled = sample_br_batch(grid, spec, key, 250, threads=3)
+        rows = np.vstack([sample_br(grid, spec, key.with_replicate(r)).values for r in range(250)])
+        assert single.shape == (250, grid.points.size)
+        assert single.tobytes() == pooled.tobytes() == rows.tobytes()
 
     def test_point_budget_exhaustion(self):
         grid = make_dyadic_grid(2)

@@ -69,6 +69,22 @@ class TestTailCheckCommand:
         assert values["exact_tail"] == pytest.approx(0.5 * math.exp(-5.0), rel=1e-12)
         assert values["ratio"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--process", "scalar", "--m", "2", "--x", "800"], "underflows"),
+            (["--process", "bessel", "--m", "2", "--x", "2000"], "underflows"),
+            (["--process", "scalar", "--m", "3", "--x", "800"], "underflows"),
+            (["--process", "bessel", "--x", "-1"], "x >= 0"),
+        ],
+        ids=["scalar-m2", "bessel-m2", "scalar-m3", "negative-x"],
+    )
+    def test_unevaluable_point_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "t.json"
+        assert run(["tail-check", *argv, "--seed", "1", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

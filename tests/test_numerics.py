@@ -3,92 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from besselbr.numerics import (
-    QuadratureError,
-    QuadratureSpec,
-    StreamKey,
-    integrate,
-    ln_gamma,
-    reg_gamma_upper,
-    std_normal_cdf,
-    std_normal_quantile,
-    std_normal_sample,
-    std_normal_tail,
-)
-
-
-class TestLnGamma:
-    def test_anchor_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-12)
-        assert ln_gamma(3.0) == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_agrees_with_math_lgamma_on_range(self):
-        for x in np.linspace(0.5, 200.0, 57):
-            assert ln_gamma(float(x)) == pytest.approx(math.lgamma(x), abs=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
-
-
-class TestRegGammaUpper:
-    def test_a_equals_one_is_exponential(self):
-        for x in (0.0, 0.3, 1.0, 5.0, 40.0):
-            assert reg_gamma_upper(1.0, x) == pytest.approx(math.exp(-x), abs=1e-13)
-
-    def test_point_value(self):
-        assert reg_gamma_upper(1.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-13)
-
-    def test_half_degree_is_erfc(self):
-        # Q(1/2, x) = erfc(sqrt(x)); erfc is the independent reference here
-        assert reg_gamma_upper(0.5, 4.0) == pytest.approx(math.erfc(2.0), abs=1e-13)
-
-    def test_half_degree_against_quadrature(self):
-        integral = integrate(
-            lambda t: t**-0.5 * math.exp(-t), 4.0, np.inf, QuadratureSpec(1e-14, 1e-13, 200)
-        )
-        assert reg_gamma_upper(0.5, 4.0) == pytest.approx(integral / math.gamma(0.5), abs=1e-12)
-
-    def test_monotone_decreasing_in_x(self):
-        for a in (0.5, 1.0, 2.5, 7.0, 50.0):
-            values = [reg_gamma_upper(a, x) for x in np.linspace(0.0, 60.0, 41)]
-            assert all(b <= a_ for a_, b in zip(values, values[1:]))
-
-    def test_even_degree_finite_sum(self):
-        # for chi-square with m even the tail is a finite Poisson-type sum
-        for m in (2, 4, 8, 12):
-            for x in (0.5, 3.0, 17.0, 60.0):
-                expected = math.exp(-x / 2) * sum(
-                    (x / 2) ** j / math.factorial(j) for j in range(m // 2)
-                )
-                assert reg_gamma_upper(m / 2, x / 2) == pytest.approx(expected, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            reg_gamma_upper(0.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_gamma_upper(1.0, -0.5)
-
-
-class TestStdNormal:
-    def test_cdf_at_zero(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-14)
-
-    def test_tail_complements_cdf(self):
-        for x in range(-3, 4):
-            assert std_normal_tail(x) + std_normal_cdf(x) == pytest.approx(1.0, abs=1e-14)
-
-    def test_quantile_round_trip(self):
-        assert std_normal_quantile(std_normal_cdf(1.7)) == pytest.approx(1.7, abs=1e-9)
-        for p in (1e-8, 0.01, 0.3, 0.5, 0.9, 1 - 1e-10):
-            assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-10)
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
-    def test_quantile_domain(self, bad):
-        with pytest.raises(ValueError):
-            std_normal_quantile(bad)
+from besselbr.numerics import QuadratureError, QuadratureSpec, StreamKey, integrate
 
 
 class TestIntegrate:
@@ -133,44 +48,37 @@ class TestIntegrate:
 
 
 class TestStreams:
-    def test_empty_draw(self):
-        assert std_normal_sample(StreamKey(1), 0).size == 0
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            std_normal_sample(StreamKey(1), -1)
-
     def test_determinism(self):
         key = StreamKey(987654321, replicate_index=3, substream_index=5)
-        a = std_normal_sample(key, 1000)
-        b = std_normal_sample(key, 1000)
+        a = key.generator().standard_normal(1000)
+        b = key.generator().standard_normal(1000)
         assert a.tobytes() == b.tobytes()
 
     def test_creation_order_is_irrelevant(self):
         keys = [StreamKey(11, replicate_index=r) for r in range(4)]
-        first = [std_normal_sample(k, 10) for k in keys]
-        second = [std_normal_sample(k, 10) for k in reversed(keys)][::-1]
+        first = [k.generator().standard_normal(10) for k in keys]
+        second = [k.generator().standard_normal(10) for k in reversed(keys)][::-1]
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
 
     def test_distinct_triples_differ(self):
-        base = std_normal_sample(StreamKey(5), 50)
+        base = StreamKey(5).generator().standard_normal(50)
         for other in (
             StreamKey(6),
             StreamKey(5, replicate_index=1),
             StreamKey(5, substream_index=1),
         ):
-            assert not np.array_equal(base, std_normal_sample(other, 50))
+            assert not np.array_equal(base, other.generator().standard_normal(50))
 
     def test_moments_at_one_million(self):
-        draws = std_normal_sample(StreamKey(2024), 10**6)
+        draws = StreamKey(2024).generator().standard_normal(10**6)
         assert abs(draws.mean()) <= 0.004
         assert abs(draws.var() - 1.0) <= 0.006
 
     def test_substream_independence(self):
         key = StreamKey(313)
-        a = std_normal_sample(key.with_substream(0), 10**5)
-        b = std_normal_sample(key.with_substream(1), 10**5)
+        a = key.with_substream(0).generator().standard_normal(10**5)
+        b = key.with_substream(1).generator().standard_normal(10**5)
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) <= 0.01
 

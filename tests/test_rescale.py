@@ -38,6 +38,23 @@ class TestBesselConstants:
         assert consts.b == pytest.approx(expected, abs=1e-12)
         assert consts.b == pytest.approx(22.86133435668806, abs=1e-9)
 
+    def test_log_gamma_anchor_values(self):
+        # ln Gamma(1/2) = ln(pi)/2, ln Gamma(1) = 0, ln Gamma(3) = ln 2
+        log_n, log_log_n = math.log(1e3), math.log(math.log(1e3))
+        assert bessel_constants(10**3, 1).b == pytest.approx(
+            2 * log_n - log_log_n - math.log(math.pi), abs=1e-12
+        )
+        assert bessel_constants(10**3, 2).b == pytest.approx(2 * log_n, abs=1e-12)
+        assert bessel_constants(10**3, 6).b == pytest.approx(
+            2 * log_n + 4 * log_log_n - 2 * math.log(2.0), abs=1e-12
+        )
+
+    def test_log_gamma_agrees_with_math_lgamma(self):
+        log_n, log_log_n = math.log(100.0), math.log(math.log(100.0))
+        for m in range(1, 401, 7):
+            expected = 2 * log_n + (m - 2) * log_log_n - 2 * math.lgamma(m / 2)
+            assert bessel_constants(100, m).b == pytest.approx(expected, abs=1e-12)
+
     def test_count_validation(self):
         with pytest.raises(ValueError):
             bessel_constants(1, 2)

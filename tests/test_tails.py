@@ -45,11 +45,43 @@ class TestTailParams:
 
 class TestChiSquareTail:
     def test_m2_is_exponential(self):
-        for x in (0.0, 0.5, 2.0, 11.0, 50.0):
+        # Q(1, x) = e^{-x}
+        for x in (0.0, 0.5, 0.6, 2.0, 10.0, 11.0, 50.0, 80.0):
             assert chi_square_tail(2, x) == pytest.approx(math.exp(-x / 2), abs=1e-13)
 
     def test_point_value(self):
         assert chi_square_tail(2, 2.0) == pytest.approx(math.exp(-1.0), abs=1e-13)
+
+    def test_m1_is_erfc(self):
+        # Q(1/2, x) = erfc(sqrt(x)); erfc is the independent reference here
+        assert chi_square_tail(1, 8.0) == pytest.approx(math.erfc(2.0), abs=1e-13)
+
+    def test_m1_against_quadrature(self):
+        integral = integrate(
+            lambda t: t**-0.5 * math.exp(-t), 4.0, np.inf, QuadratureSpec(1e-14, 1e-13, 200)
+        )
+        assert chi_square_tail(1, 8.0) == pytest.approx(integral / math.gamma(0.5), abs=1e-12)
+
+    def test_monotone_decreasing_in_x(self):
+        for m in (1, 2, 5, 14, 100):
+            values = [chi_square_tail(m, x) for x in np.linspace(0.0, 120.0, 41)]
+            assert all(b <= a for a, b in zip(values, values[1:]))
+
+    def test_even_degree_finite_sum(self):
+        # for chi-square with m even the tail is a finite Poisson-type sum
+        for m in (2, 4, 8, 12):
+            for x in (0.5, 3.0, 17.0, 60.0):
+                expected = math.exp(-x / 2) * sum(
+                    (x / 2) ** j / math.factorial(j) for j in range(m // 2)
+                )
+                assert chi_square_tail(m, x) == pytest.approx(expected, abs=1e-12)
+
+    def test_domain_errors(self):
+        for bad in (-0.5, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                chi_square_tail(2, bad)
+        with pytest.raises(ValueError):
+            chi_square_tail(0, 1.0)
 
     def test_m4_deep_tail_ratio(self):
         # exact Q(2, 20) = 21 e^{-20} against the leading-order formula 20 e^{-20}
