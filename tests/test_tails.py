@@ -45,12 +45,21 @@ class TestTailParams:
 
 class TestChiSquareTail:
     def test_m2_is_exponential(self):
-        # Q(1, x) = e^{-x}
-        for x in (0.0, 0.5, 0.6, 2.0, 10.0, 11.0, 50.0, 80.0):
+        for x in (0.0, 0.5, 2.0, 11.0, 50.0):
             assert chi_square_tail(2, x) == pytest.approx(math.exp(-x / 2), abs=1e-13)
+
+    def test_m2_half_argument_is_unit_exponential(self):
+        # Q(1, x) = e^{-x}, reached through chi_square_tail(2, 2x)
+        for x in (0.0, 0.3, 1.0, 5.0, 40.0):
+            assert chi_square_tail(2, 2.0 * x) == pytest.approx(math.exp(-x), abs=1e-13)
 
     def test_point_value(self):
         assert chi_square_tail(2, 2.0) == pytest.approx(math.exp(-1.0), abs=1e-13)
+
+    def test_m3_point_value(self):
+        # Q(3/2, x) = erfc(sqrt(x)) + 2 sqrt(x / pi) e^{-x}; at x = 1
+        expected = math.erfc(1.0) + 2.0 * math.exp(-1.0) / math.sqrt(math.pi)
+        assert chi_square_tail(3, 2.0) == pytest.approx(expected, abs=1e-13)
 
     def test_m1_is_erfc(self):
         # Q(1/2, x) = erfc(sqrt(x)); erfc is the independent reference here
