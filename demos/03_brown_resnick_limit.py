@@ -22,7 +22,7 @@ from besselbr import (
     sample_br,
     sample_br_batch,
 )
-from besselbr.stats import EmpiricalSample, ks_statistic
+from besselbr.stats import ks_statistic
 
 grid = make_dyadic_grid(7)
 key = StreamKey(99)
@@ -39,7 +39,7 @@ print("same key, epsilon 1e-4 -> 1e-8: max grid change",
 print()
 print("marginal law check, 3000 replicates at t = 1:")
 batch = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-4), key.with_substream(5), 3000)
-ks = ks_statistic(EmpiricalSample(batch[:, -1]), gumbel_cdf)
+ks = ks_statistic(batch[:, -1], gumbel_cdf)
 print(f"  KS distance to Gumbel: {ks:.4f}  (1% critical at N=3000: {1.63/np.sqrt(3000):.4f})")
 
 print()
@@ -62,4 +62,4 @@ print()
 print("max-stability: max of two independent paths minus ln 2 is Gumbel again:")
 other = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-4), key.with_substream(6), 3000)
 combined = np.maximum(batch[:, -1], other[:, -1]) - np.log(2.0)
-print(f"  KS distance to Gumbel: {ks_statistic(EmpiricalSample(combined), gumbel_cdf):.4f}")
+print(f"  KS distance to Gumbel: {ks_statistic(combined, gumbel_cdf):.4f}")

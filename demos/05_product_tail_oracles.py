@@ -58,7 +58,7 @@ print("Gaussian-damped lower-tail sequence for chi-square(2), window (-b_n/4, -r
 for r, p in ((2.0, 4.0), (2.0, 8.0)):
     seq = check_condition_kk(
         lambda y: chi_square_density(2, y),
-        bessel_constants(10**3, 2),
+        lambda n: bessel_constants(n, 2),
         r,
         p,
         [10**3, 10**4, 10**5],

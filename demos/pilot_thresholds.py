@@ -64,7 +64,7 @@ from besselbr import (
 )
 from besselbr.numerics import QuadratureSpec
 from besselbr.rescale import local_bessel_batch, local_bessel_split_batch
-from besselbr.stats import EmpiricalSample, ks_statistic, two_sample_ks
+from besselbr.stats import ks_statistic, two_sample_ks
 
 # frozen by this pilot; tests/test_acceptance.py must use the same value
 ACCEPTANCE_SEED = 7
@@ -116,15 +116,12 @@ def pilot_br_selftest(n_seeds):
     for seed in range(n_seeds):
         key = StreamKey(4000 + seed)
         base = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-4), key, 5000)
-        marg = [
-            ks_statistic(EmpiricalSample(base[:, grid.index_of(t)]), gumbel_cdf)
-            for t in (0.0, 0.5, 1.0)
-        ]
-        stat = two_sample_ks(EmpiricalSample(base[:, 0]), EmpiricalSample(base[:, -1]))
+        marg = [ks_statistic(base[:, grid.index_of(t)], gumbel_cdf) for t in (0.0, 0.5, 1.0)]
+        stat = two_sample_ks(base[:, 0], base[:, -1])
         loose = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-3), key.with_substream(10), 5000)
         tight = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), key.with_substream(20), 5000)
         col = grid.index_of(1.0)
-        eps = two_sample_ks(EmpiricalSample(loose[:, col]), EmpiricalSample(tight[:, col]))
+        eps = two_sample_ks(loose[:, col], tight[:, col])
         print(
             f"  seed {key.master_seed}: marginal KS {['%.4f' % v for v in marg]} (thr 0.026); "
             f"stationarity {stat:.4f}, eps-insensitivity {eps:.4f} (thr 0.033)"
@@ -137,25 +134,22 @@ def pilot_decomposition(n_seeds):
     for seed in range(n_seeds):
         direct = local_bessel_batch(ts, 10000, 2, StreamKey(5000 + seed), 100000)
         split = local_bessel_split_batch(ts, 10000, 2, StreamKey(6000 + seed), 100000)
-        kss = [
-            two_sample_ks(EmpiricalSample(direct[:, j]), EmpiricalSample(split[:, j]))
-            for j in range(2)
-        ]
+        kss = [two_sample_ks(direct[:, j], split[:, j]) for j in range(2)]
         print(f"  seed {5000 + seed}: KS(t=0.5)={kss[0]:.4f}, KS(t=1)={kss[1]:.4f}  (threshold 0.01)")
 
 
 def pilot_deterministic():
     banner("deterministic condition verifiers (no seeds involved)")
-    template = bessel_constants(1000, 2)
+    consts = lambda n: bessel_constants(n, 2)
     for p in (4.0, 8.0):
         seq = check_condition_kk(
-            lambda y: chi_square_density(2, y), template, 2.0, p, [10**3, 10**4, 10**5], ORACLE_QUAD
+            lambda y: chi_square_density(2, y), consts, 2.0, p, [10**3, 10**4, 10**5], ORACLE_QUAD
         )
         ratios = [v / seq[0] for v in seq]
         print(f"  damped-tail sequence (r=2, p={p:g}): {['%.4f' % v for v in seq]}"
               f"  ratios {['%.3f' % r for r in ratios]}")
     seq = check_gumbel_intensity(
-        chi_square_tail_fn(3), bessel_constants(1000, 3), 0.0, [10**3, 10**4, 10**5, 10**6]
+        chi_square_tail_fn(3), lambda n: bessel_constants(n, 3), 0.0, [10**3, 10**4, 10**5, 10**6]
     )
     print(f"  intensity m=3, s=0: errors {['%.3e' % abs(v - 1) for v in seq]} (decreasing)")
 
@@ -186,22 +180,14 @@ def scan_candidate(seed):
     for t in (0.0, 0.5, 1.0):
         record(
             f"br marginal t={t:g}",
-            ks_statistic(EmpiricalSample(base[:, grid.index_of(t)]), gumbel_cdf),
+            ks_statistic(base[:, grid.index_of(t)], gumbel_cdf),
             0.026,
         )
-    record(
-        "br stationarity",
-        two_sample_ks(EmpiricalSample(base[:, 0]), EmpiricalSample(base[:, -1])),
-        0.033,
-    )
+    record("br stationarity", two_sample_ks(base[:, 0], base[:, -1]), 0.033)
     loose = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-3), key.with_substream(61), 5000)
     tight = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), key.with_substream(62), 5000)
     col = grid.index_of(1.0)
-    record(
-        "br eps-insensitivity",
-        two_sample_ks(EmpiricalSample(loose[:, col]), EmpiricalSample(tight[:, col])),
-        0.033,
-    )
+    record("br eps-insensitivity", two_sample_ks(loose[:, col], tight[:, col]), 0.033)
 
     record("fdd bessel", fdd_check("bessel", 2, (0.0, 1.0), 10000, 2000, key.with_substream(70)), 0.05)
     record("fdd scalar", fdd_check("scalar", 2, (0.0, 1.0), 10000, 2000, key.with_substream(71)), 0.05)
@@ -211,11 +197,7 @@ def scan_candidate(seed):
     direct = local_bessel_batch(ts, 10000, 2, key.with_substream(80), 100000)
     split = local_bessel_split_batch(ts, 10000, 2, key.with_substream(81), 100000)
     for j, t in enumerate(ts):
-        record(
-            f"decomposition t={t:g}",
-            two_sample_ks(EmpiricalSample(direct[:, j]), EmpiricalSample(split[:, j])),
-            0.01,
-        )
+        record(f"decomposition t={t:g}", two_sample_ks(direct[:, j], split[:, j]), 0.01)
     return ok, lines
 
 

@@ -47,11 +47,10 @@ from .rescale import (
     local_bessel_split_batch,
     local_scalar_batch,
     max_process,
+    normal_constants,
     scalar_constants,
 )
 from .stats import (
-    EmpiricalSample,
-    SweepRecord,
     SweepReport,
     bivariate_cdf_diff,
     fdd_check,

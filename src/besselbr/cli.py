@@ -23,15 +23,8 @@ from . import __version__
 from .brown_resnick import BRTruncationSpec, TruncationError, gumbel_cdf, sample_br, sample_br_batch
 from .numerics import QuadratureError, QuadratureSpec, StreamKey
 from .paths import make_dyadic_grid
-from .rescale import bessel_constants, scalar_constants
-from .stats import (
-    EmpiricalSample,
-    fdd_check,
-    ks_statistic,
-    marginal_gumbel_sweep,
-    two_sample_ks,
-    _normal_maxima_constants,
-)
+from .rescale import bessel_constants, normal_constants, scalar_constants
+from .stats import fdd_check, ks_statistic, marginal_gumbel_sweep, two_sample_ks
 from .tails import (
     chi_square_density,
     chi_square_tail,
@@ -130,11 +123,19 @@ def _int_list(text: str):
     return values
 
 
-def _float_list(text: str):
+def _finite_float(text: str) -> float:
+    # report reals must serialise, so a non-finite flag is a usage error
     try:
-        values = [float(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals: {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite real: {text!r}")
+    return value
+
+
+def _float_list(text: str):
+    values = [_finite_float(part) for part in text.split(",") if part]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one real")
     return values
@@ -170,16 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tail-check", help="exact vs asymptotic tail at one point")
     p.add_argument("--process", choices=("bessel", "scalar"), default="scalar")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--threshold", type=float, default=0.05, help="bound on |ratio - 1|")
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--threshold", type=_finite_float, default=0.05, help="bound on |ratio - 1|")
     _add_common(p)
 
     p = sub.add_parser("kk-check", help="Gaussian-damped lower-tail boundedness sequence")
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--p", type=float, default=4.0)
+    p.add_argument("--r", type=_finite_float, default=2.0)
+    p.add_argument("--p", type=_finite_float, default=4.0)
     p.add_argument("--ns", type=_int_list, default=[1000, 10000, 100000])
-    p.add_argument("--bound-factor", type=float, default=2.0)
+    p.add_argument("--bound-factor", type=_finite_float, default=2.0)
     _add_common(p)
 
     p = sub.add_parser("marginal-sweep", help="KS-to-Gumbel sweep of normalised maxima")
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--ns", type=_int_list, default=[100, 1000, 10000])
     p.add_argument("--replicates", type=int, default=2000)
-    p.add_argument("--threshold", type=float, default=0.10, help="bound on the final KS")
+    p.add_argument("--threshold", type=_finite_float, default=0.10, help="bound on the final KS")
     p.add_argument(
         "--allow-nonmonotone",
         action="store_true",
@@ -201,10 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", type=_float_list, default=[0.0, 1.0])
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--replicates", type=int, default=2000)
-    p.add_argument("--epsilon", type=float, default=1e-4, help="truncation budget (br only)")
+    p.add_argument(
+        "--epsilon", type=_finite_float, default=1e-4, help="truncation budget (br only)"
+    )
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_finite_float,
         default=None,
         help="bound on the sup CDF difference (default 0.05, or 0.03 for br)",
     )
@@ -212,16 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("br-sample", help="simulate one limit-process path")
     p.add_argument("--grid-k", type=int, default=8)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=_finite_float, default=1e-4)
     p.add_argument("--max-points", type=int, default=10000)
     _add_common(p)
 
     p = sub.add_parser("br-selftest", help="marginal, stationarity and truncation self-tests")
     p.add_argument("--grid-k", type=int, default=8)
-    p.add_argument("--epsilon", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=_finite_float, default=1e-4)
     p.add_argument("--replicates", type=int, default=5000)
-    p.add_argument("--marginal-threshold", type=float, default=0.026)
-    p.add_argument("--two-sample-threshold", type=float, default=0.033)
+    p.add_argument("--marginal-threshold", type=_finite_float, default=0.026)
+    p.add_argument("--two-sample-threshold", type=_finite_float, default=0.033)
     _add_common(p, threads=True)
 
     return parser
@@ -232,15 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_constants(args):
-    if args.process == "bessel":
-        consts = bessel_constants(args.n, args.m)
-        a, b = consts.a, consts.b
-    elif args.process == "scalar":
-        consts = scalar_constants(args.n, args.m)
-        a, b = consts.a, consts.b
+    if args.process == "bm":
+        consts = normal_constants(args.n)
     else:
-        a, b = _normal_maxima_constants(args.n)
-    return True, [_result("a", a), _result("b", b)], {}
+        family = bessel_constants if args.process == "bessel" else scalar_constants
+        consts = family(args.n, args.m)
+    return True, [_result("a", consts.a), _result("b", consts.b)], {}
 
 
 def _cmd_tail_check(args):
@@ -266,24 +266,18 @@ def _cmd_tail_check(args):
 
 
 def _cmd_kk_check(args):
-    template = bessel_constants(max(args.ns[0], 2), args.m)
     sequence = check_condition_kk(
         lambda y: chi_square_density(args.m, y),
-        template,
+        lambda n: bessel_constants(n, args.m),
         args.r,
         args.p,
         args.ns,
         _ORACLE_QUADRATURE,
     )
     rows = [_result(f"kk_integral_n_{n}", v) for n, v in zip(args.ns, sequence)]
-    first = sequence[0]
-    if first > 0:
-        bound = args.bound_factor * first
-        ok = max(sequence) <= bound
-    else:
-        bound = 0.0
-        ok = max(sequence) == 0.0
-    rows.append(_result("kk_max_over_first", max(sequence) / first if first > 0 else 0.0,
+    first, top = sequence[0], max(sequence)
+    ok = top <= args.bound_factor * first if first > 0 else top == 0.0
+    rows.append(_result("kk_max_over_first", top / first if first > 0 else 0.0,
                         threshold=args.bound_factor, passed=ok))
     return ok, rows, {}
 
@@ -297,7 +291,7 @@ def _cmd_marginal_sweep(args):
         StreamKey(args.seed),
         threads=args.threads,
     )
-    rows = [_result(f"ks_gumbel_n_{r.n}", r.value) for r in report.records]
+    rows = [_result(f"ks_gumbel_n_{n}", v) for n, v in zip(report.ns, report.values)]
     decreasing_ok = report.decreasing or args.allow_nonmonotone
     rows.append(
         _result("ks_decreasing", 1.0 if report.decreasing else 0.0, passed=decreasing_ok)
@@ -355,17 +349,14 @@ def _cmd_br_selftest(args):
     rows = []
     ok = True
     for t in (0.0, 0.5, 1.0):
-        ks = ks_statistic(EmpiricalSample(base[:, grid.index_of(t)]), gumbel_cdf)
+        ks = ks_statistic(base[:, grid.index_of(t)], gumbel_cdf)
         good = ks <= args.marginal_threshold
         ok = ok and good
         rows.append(
             _result(f"ks_marginal_t_{t:g}", ks, threshold=args.marginal_threshold, passed=good)
         )
 
-    stationarity = two_sample_ks(
-        EmpiricalSample(base[:, grid.index_of(0.0)]),
-        EmpiricalSample(base[:, grid.index_of(1.0)]),
-    )
+    stationarity = two_sample_ks(base[:, grid.index_of(0.0)], base[:, grid.index_of(1.0)])
     good = stationarity <= args.two_sample_threshold
     ok = ok and good
     rows.append(
@@ -379,7 +370,7 @@ def _cmd_br_selftest(args):
     tight = sample_br_batch(
         grid, BRTruncationSpec(epsilon=1e-6), key.with_substream(20), args.replicates, args.threads
     )[:, column]
-    insensitivity = two_sample_ks(EmpiricalSample(loose), EmpiricalSample(tight))
+    insensitivity = two_sample_ks(loose, tight)
     good = insensitivity <= args.two_sample_threshold
     ok = ok and good
     rows.append(

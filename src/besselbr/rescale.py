@@ -30,6 +30,7 @@ __all__ = [
     "bessel_constants",
     "scalar_constants",
     "generic_constants",
+    "normal_constants",
     "max_process",
     "local_bessel_batch",
     "local_bessel_split_batch",
@@ -41,36 +42,14 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class NormingConstants:
-    """Affine normalisation (a, b) for the maximum of n samples.
-
-    ``kind`` records which family produced the pair, together with the source
-    parameters (``m`` for the two process families, the tail parameters
-    (K, c, beta) for the generic Weibull-type family), so the same constants
-    can be re-derived at a different sample count via :meth:`at`.
-    """
+    """Affine normalisation (a, b) for the maximum of n samples."""
 
     a: float
     b: float
-    kind: str
-    n: float
-    m: int | None = None
-    K: float | None = None
-    c: float | None = None
-    beta: float | None = None
 
     def __post_init__(self):
         if not self.a > 0:
             raise ValueError("scale constant a must be positive")
-        if self.kind not in ("bessel", "scalar", "generic"):
-            raise ValueError(f"unknown norming kind {self.kind!r}")
-
-    def at(self, n) -> "NormingConstants":
-        """Constants of the same family evaluated at another sample count."""
-        if self.kind == "bessel":
-            return bessel_constants(n, self.m)
-        if self.kind == "scalar":
-            return scalar_constants(n, self.m)
-        return generic_constants(self.K, self.c, self.beta, n)
 
 
 def _check_count(n):
@@ -91,7 +70,7 @@ def bessel_constants(n, m: int) -> NormingConstants:
     n = _check_count(n)
     _check_dimension(m)
     b = 2.0 * math.log(n) + (m - 2.0) * math.log(math.log(n)) - 2.0 * sc.gammaln(m / 2.0)
-    return NormingConstants(a=2.0, b=float(b), kind="bessel", n=n, m=int(m))
+    return NormingConstants(2.0, float(b))
 
 
 def scalar_constants(n, m: int) -> NormingConstants:
@@ -111,7 +90,7 @@ def scalar_constants(n, m: int) -> NormingConstants:
         - (m / 2.0) * _LN2
         - sc.gammaln(m / 2.0)
     )
-    return NormingConstants(a=1.0, b=float(b), kind="scalar", n=n, m=int(m))
+    return NormingConstants(1.0, float(b))
 
 
 def generic_constants(K, c, beta, n) -> NormingConstants:
@@ -125,9 +104,18 @@ def generic_constants(K, c, beta, n) -> NormingConstants:
         raise ValueError(f"tail rate c must be positive, got {c}")
     n = _check_count(n)
     b = (math.log(n) + beta * math.log(math.log(n) / c) + math.log(K)) / c
-    return NormingConstants(
-        a=1.0 / c, b=b, kind="generic", n=n, K=float(K), c=float(c), beta=float(beta)
-    )
+    return NormingConstants(1.0 / c, b)
+
+
+def normal_constants(n) -> NormingConstants:
+    """Classical Gumbel norming for maxima of n standard normals.
+
+    a = 1/s and b = s - (ln ln n + ln 4 pi) / (2 s) with s = sqrt(2 ln n).
+    """
+    n = _check_count(n)
+    s = math.sqrt(2.0 * math.log(n))
+    b = s - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * s)
+    return NormingConstants(1.0 / s, b)
 
 
 def max_process(paths) -> SamplePath:

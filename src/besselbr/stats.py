@@ -17,7 +17,6 @@ distance reflects the shrinking distributional bias rather than independent
 sampling noise.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,70 +35,55 @@ from .rescale import (
     bessel_constants,
     local_bessel_batch,
     local_scalar_batch,
+    normal_constants,
     scalar_constants,
 )
 
 __all__ = [
-    "EmpiricalSample",
-    "SweepRecord",
     "SweepReport",
     "ks_statistic",
     "two_sample_ks",
     "bivariate_cdf_diff",
     "marginal_gumbel_sweep",
     "fdd_check",
-    "DEFAULT_FDD_LEVELS",
 ]
 
 SWEEP_CHUNK = 256  # replicates per canonical chunk; fixed so reports are thread-count independent
 FDD_CHUNK = 100
 
-DEFAULT_FDD_LEVELS = (-1.0, 0.0, 1.0)
+_FDD_LEVELS = (-1.0, 0.0, 1.0)
 
 _PROCESSES = ("bessel", "scalar", "bm")
 
 
-class EmpiricalSample:
-    """A batch of real observations."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        vals = np.asarray(values, dtype=float).ravel()
-        if vals.size and not np.all(np.isfinite(vals)):
-            raise ValueError("sample values must be finite")
-        self.values = vals
-
-    def __len__(self):
-        return self.values.size
-
-    @property
-    def sorted_values(self) -> np.ndarray:
-        return np.sort(self.values)
+def _sorted_sample(values) -> np.ndarray:
+    xs = np.sort(np.asarray(values, dtype=float).ravel())
+    if xs.size == 0:
+        raise ValueError("a KS statistic needs a nonempty sample")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("sample values must be finite")
+    return xs
 
 
-def ks_statistic(sample: EmpiricalSample, cdf) -> float:
-    """sup-norm distance between the empirical CDF and ``cdf``.
+def ks_statistic(values, cdf) -> float:
+    """sup-norm distance between the empirical CDF of ``values`` and ``cdf``.
 
-    ``cdf`` is called once, on the sorted sample array, and must return an
-    array of the same shape.  Both one-sided gaps at every jump point are
-    taken, so the value is the exact Kolmogorov-Smirnov statistic.
+    ``values`` is any array-like of finite reals.  ``cdf`` is called once, on
+    the sorted sample array, and must return an array of the same shape.
+    Both one-sided gaps at every jump point are taken, so the value is the
+    exact Kolmogorov-Smirnov statistic.
     """
-    xs = sample.sorted_values
+    xs = _sorted_sample(values)
     n = xs.size
-    if n == 0:
-        raise ValueError("ks_statistic needs a nonempty sample")
     f = cdf(xs)
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
     return float(max(upper, lower))
 
 
-def two_sample_ks(a: EmpiricalSample, b: EmpiricalSample) -> float:
-    """sup-norm distance between two empirical CDFs."""
-    xs, ys = a.sorted_values, b.sorted_values
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("two_sample_ks needs nonempty samples")
+def two_sample_ks(a, b) -> float:
+    """sup-norm distance between the empirical CDFs of two array-likes."""
+    xs, ys = _sorted_sample(a), _sorted_sample(b)
     support = np.concatenate([xs, ys])
     fa = np.searchsorted(xs, support, side="right") / xs.size
     fb = np.searchsorted(ys, support, side="right") / ys.size
@@ -125,43 +109,24 @@ def bivariate_cdf_diff(pairs, model, grid) -> float:
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    n: int
-    replicates: int
-    statistic: str
-    value: float
-
-
-@dataclass(frozen=True)
 class SweepReport:
-    """Per-sample-count statistics of one convergence sweep."""
+    """KS distances ``values`` of one convergence sweep, one per sample count in ``ns``."""
 
-    records: tuple
+    ns: list
+    values: list
 
     def __post_init__(self):
-        ns = [r.n for r in self.records]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("sweep records must have strictly increasing n")
-
-    @property
-    def values(self) -> list[float]:
-        return [r.value for r in self.records]
+        if len(self.ns) != len(self.values) or any(b <= a for a, b in zip(self.ns, self.ns[1:])):
+            raise ValueError("a sweep needs one value per strictly increasing n")
 
     @property
     def final_value(self) -> float:
-        return self.records[-1].value
+        return self.values[-1]
 
     @property
     def decreasing(self) -> bool:
         v = self.values
         return all(b < a for a, b in zip(v, v[1:]))
-
-
-def _normal_maxima_constants(n):
-    # classical Gumbel norming for maxima of n standard normals
-    s = math.sqrt(2.0 * math.log(n))
-    b = s - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * s)
-    return 1.0 / s, b
 
 
 def _laplace_upper_quantile(q: np.ndarray) -> np.ndarray:
@@ -174,14 +139,11 @@ def _coupled_normalized_max(process, m, n, u):
     # of the maximum: q = P(max survival) = 1 - U^{1/n}, evaluated stably.
     q = -np.expm1(np.log(u) / n)
     if process == "bessel":
-        mx = 2.0 * sc.gammainccinv(0.5 * m, q)
-        consts = bessel_constants(n, m)
+        mx, consts = 2.0 * sc.gammainccinv(0.5 * m, q), bessel_constants(n, m)
     elif process == "scalar":
-        mx = _laplace_upper_quantile(q)
-        consts = scalar_constants(n, m)
+        mx, consts = _laplace_upper_quantile(q), scalar_constants(n, m)
     else:  # bm
-        a, b = _normal_maxima_constants(n)
-        return (-sc.ndtri(q) - b) / a
+        mx, consts = -sc.ndtri(q), normal_constants(n)
     return (mx - consts.b) / consts.a
 
 
@@ -238,16 +200,7 @@ def marginal_gumbel_sweep(
         return block
 
     samples = np.concatenate(parallel_map(worker, n_chunks, threads), axis=1)
-    records = tuple(
-        SweepRecord(
-            n=n,
-            replicates=replicates,
-            statistic="ks_gumbel",
-            value=ks_statistic(EmpiricalSample(samples[j]), gumbel_cdf),
-        )
-        for j, n in enumerate(ns)
-    )
-    return SweepReport(records)
+    return SweepReport(ns, [ks_statistic(row, gumbel_cdf) for row in samples])
 
 
 def _local_pair_maxima(process, m, s, t, n, key, replicates, threads):
@@ -275,14 +228,13 @@ def fdd_check(
     replicates: int,
     key: StreamKey,
     *,
-    levels=DEFAULT_FDD_LEVELS,
     br_spec: BRTruncationSpec | None = None,
     threads: int = 1,
 ) -> float:
     """Two-time finite-dimensional check against the Husler-Reiss law.
 
     Simulates ``replicates`` copies of (max over n rescaled processes at s,
-    same at t) and returns the max over the levels grid of the absolute
+    same at t) and returns the max over the grid {-1, 0, 1}^2 of the absolute
     difference between the empirical joint CDF and the Husler-Reiss CDF with
     parameter sqrt(|t-s|)/2.  ``process`` may also be "br", in which case the
     pair comes from the limit process itself (``n`` is ignored) and the check
@@ -310,5 +262,5 @@ def fdd_check(
         raise ValueError(f"process must be bessel, scalar or br, got {process!r}")
 
     params = hr_lambda(s, t)
-    grid = [(x, y) for x in levels for y in levels]
+    grid = [(x, y) for x in _FDD_LEVELS for y in _FDD_LEVELS]
     return bivariate_cdf_diff(pairs, lambda x, y: hr_bivariate_cdf(x, y, params), grid)

@@ -17,7 +17,6 @@ from scipy import special as sc
 
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 from .paths import _check_dimension
-from .rescale import NormingConstants
 
 __all__ = [
     "TailParams",
@@ -199,23 +198,25 @@ def product_tail_oracle(m: int, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) ->
     return integrate(integrand, 0.0, x, spec) + integrate(integrand, x, np.inf, spec)
 
 
-def check_gumbel_intensity(survival, consts: NormingConstants, s, ns) -> list[float]:
+def check_gumbel_intensity(survival, constants, s, ns) -> list[float]:
     """The sequence n * P(Y > a_n s + b_n) for each n in ``ns``, P given by ``survival``.
 
-    Converges to exp(-s) when (a_n, b_n) are the Gumbel norming constants of
-    the tail; callers assert the convergence (it is exact for the m = 2 laws
-    of both process families).
+    ``constants`` maps a sample count n to an object with attributes ``a`` and
+    ``b``, e.g. ``lambda n: bessel_constants(n, m)``.  The sequence converges
+    to exp(-s) when (a_n, b_n) are the Gumbel norming constants of the tail;
+    callers assert the convergence (it is exact for the m = 2 laws of both
+    process families).
     """
     out = []
     for n in ns:
-        c = consts.at(n)
+        c = constants(n)
         out.append(float(n) * float(survival(c.a * s + c.b)))
     return out
 
 
 def check_condition_kk(
     tail_density: Callable[[float], float],
-    consts: NormingConstants,
+    constants: Callable,
     r,
     p,
     ns,
@@ -227,7 +228,8 @@ def check_condition_kk(
 
         n * integral_{-b_n/(2 a_n)}^{-r} exp(-x^2 / p) dP(X_n <= x)
 
-    by the substitution y = a_n x + b_n back to the Y scale.  The underlying
+    by the substitution y = a_n x + b_n back to the Y scale, with (a_n, b_n)
+    the ``a`` and ``b`` of ``constants(n)``.  The underlying
     negligibility condition asks only that the sequence stays bounded; the
     verifier reports the raw numbers and leaves thresholds to the caller.
     """
@@ -237,7 +239,7 @@ def check_condition_kk(
         raise ValueError(f"damping constant p must be positive, got {p}")
     out = []
     for n in ns:
-        c = consts.at(n)
+        c = constants(n)
         y_lo = c.b / 2.0
         y_hi = c.b - c.a * r
         if y_hi <= y_lo:

@@ -23,7 +23,6 @@ from besselbr.rescale import (
     scalar_constants,
 )
 from besselbr.stats import (
-    EmpiricalSample,
     fdd_check,
     ks_statistic,
     marginal_gumbel_sweep,
@@ -157,14 +156,14 @@ def test_criterion_06_br_simulator_selftests():
     grid = make_dyadic_grid(8)
     batch = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-4), KEY.with_substream(60), 5000)
     marginals = {
-        t: ks_statistic(EmpiricalSample(batch[:, grid.index_of(t)]), gumbel_cdf)
+        t: ks_statistic(batch[:, grid.index_of(t)], gumbel_cdf)
         for t in (0.0, 0.5, 1.0)
     }
-    stationarity = two_sample_ks(EmpiricalSample(batch[:, 0]), EmpiricalSample(batch[:, -1]))
+    stationarity = two_sample_ks(batch[:, 0], batch[:, -1])
     col = grid.index_of(1.0)
     loose = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-3), KEY.with_substream(61), 5000)
     tight = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), KEY.with_substream(62), 5000)
-    insensitivity = two_sample_ks(EmpiricalSample(loose[:, col]), EmpiricalSample(tight[:, col]))
+    insensitivity = two_sample_ks(loose[:, col], tight[:, col])
     elapsed = time.perf_counter() - started
     ok = (
         all(v <= 0.026 for v in marginals.values())
@@ -201,10 +200,7 @@ def test_criterion_08_decomposition_cross_check():
     ts = np.array([0.5, 1.0])
     direct = local_bessel_batch(ts, 10**4, 2, KEY.with_substream(80), 10**5)
     split = local_bessel_split_batch(ts, 10**4, 2, KEY.with_substream(81), 10**5)
-    distances = [
-        two_sample_ks(EmpiricalSample(direct[:, j]), EmpiricalSample(split[:, j]))
-        for j in range(2)
-    ]
+    distances = [two_sample_ks(direct[:, j], split[:, j]) for j in range(2)]
     elapsed = time.perf_counter() - started
     ok = max(distances) <= 0.01 and elapsed < 60.0
     report(
@@ -255,12 +251,12 @@ def test_criterion_10_condition_verifiers():
     worst = 0.0
     for s in (-1.0, 0.0, 3.0):
         values = check_gumbel_intensity(
-            chi_square_tail_fn(2), bessel_constants(10, 2), s, [10, 10**3, 10**6]
+            chi_square_tail_fn(2), lambda n: bessel_constants(n, 2), s, [10, 10**3, 10**6]
         )
         worst = max(worst, max(abs(v - math.exp(-s)) for v in values))
     sequence = check_condition_kk(
         lambda y: chi_square_density(2, y),
-        bessel_constants(10**3, 2),
+        lambda n: bessel_constants(n, 2),
         2.0,
         4.0,
         [10**3, 10**4, 10**5],

@@ -17,7 +17,7 @@ from besselbr.brown_resnick import (
 )
 from besselbr.numerics import StreamKey
 from besselbr.paths import make_dyadic_grid
-from besselbr.stats import EmpiricalSample, ks_statistic, two_sample_ks
+from besselbr.stats import ks_statistic, two_sample_ks
 
 
 class TestGumbel:
@@ -186,12 +186,12 @@ class TestSampleBR:
     def test_marginals_are_gumbel(self, br_batch_k4):
         grid, batch = br_batch_k4
         for t in (0.0, 0.5, 1.0):
-            ks = ks_statistic(EmpiricalSample(batch[:, grid.index_of(t)]), gumbel_cdf)
+            ks = ks_statistic(batch[:, grid.index_of(t)], gumbel_cdf)
             assert ks <= 0.026
 
     def test_stationarity(self, br_batch_k4):
         grid, batch = br_batch_k4
-        ks = two_sample_ks(EmpiricalSample(batch[:, 0]), EmpiricalSample(batch[:, -1]))
+        ks = two_sample_ks(batch[:, 0], batch[:, -1])
         assert ks <= 0.033
 
     def test_max_stability_of_marginals(self, br_batch_k4):
@@ -205,7 +205,7 @@ class TestSampleBR:
         reference = np.array(
             [gumbel_quantile(p) for p in StreamKey(2028).generator().random(5000)]
         )
-        ks = two_sample_ks(EmpiricalSample(combined), EmpiricalSample(reference))
+        ks = two_sample_ks(combined, reference)
         assert ks <= 0.033
 
     def test_agrees_with_hr_bivariate(self, br_batch_k4):
@@ -224,4 +224,4 @@ class TestSampleBR:
         col = grid.index_of(1.0)
         loose = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-3), StreamKey(2030), 2000)[:, col]
         tight = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2031), 2000)[:, col]
-        assert two_sample_ks(EmpiricalSample(loose), EmpiricalSample(tight)) <= 0.052
+        assert two_sample_ks(loose, tight) <= 0.052

@@ -109,6 +109,28 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "tail-check --m 2 --x 5 --threshold nan",
+            "tail-check --m 2 --x 5 --threshold inf",
+            "fdd-check --process bessel --m 2 --n 50 --replicates 20 --threshold inf",
+            "kk-check --ns 1000 --bound-factor inf",
+            "kk-check --ns 1000 --r inf",
+            "kk-check --ns 1000 --p inf",
+            "br-selftest --grid-k 2 --replicates 20 --marginal-threshold inf",
+            "marginal-sweep --process bm --ns 100 --replicates 10 --threshold nan",
+            "tail-check --m 2 --x inf",
+            "fdd-check --process br --times 0,inf --replicates 20",
+            "br-sample --grid-k 2 --epsilon nan",
+        ],
+    )
+    def test_nonfinite_real_flag_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert run(argv.split() + ["--seed", "1", "--out", str(out)]) == 2
+        assert "expected a finite real" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exhausted_point_budget_is_reported_cleanly(self, capsys):
         code = run(["br-sample", "--epsilon", "1e-9", "--max-points", "2", "--seed", "1"])
         assert code == 2

@@ -15,7 +15,7 @@ from besselbr.paths import (
     scalar_product_batch,
     squared_bessel_batch,
 )
-from besselbr.stats import EmpiricalSample, ks_statistic, two_sample_ks
+from besselbr.stats import ks_statistic, two_sample_ks
 
 N_REPLICATES = 10**5
 KS_1PCT = 0.006  # one-sample band at N = 1e5: 1% critical 1.63/sqrt(N) ~ 0.0052
@@ -89,7 +89,7 @@ class TestBrownianMotion:
         assert path.values[0] == 0.0
 
     def test_terminal_value_is_standard_normal(self, bm_endpoints):
-        ks = ks_statistic(EmpiricalSample(bm_endpoints[:, 2]), sc.ndtr)
+        ks = ks_statistic(bm_endpoints[:, 2], sc.ndtr)
         assert ks <= KS_1PCT
 
     def test_variance_at_half(self, bm_endpoints):
@@ -118,7 +118,7 @@ class TestSquaredBessel:
         assert np.all(path.values >= 0.0)
 
     def test_m2_terminal_tail_is_exponential(self, bessel_terminal_m2):
-        ks = ks_statistic(EmpiricalSample(bessel_terminal_m2), lambda x: 1.0 - np.exp(-x / 2.0))
+        ks = ks_statistic(bessel_terminal_m2, lambda x: 1.0 - np.exp(-x / 2.0))
         assert ks <= KS_1PCT
 
     def test_dimension_validation(self):
@@ -146,13 +146,11 @@ class TestScalarProduct:
         assert path.values[0] == 0.0
 
     def test_m2_terminal_is_laplace(self, scalar_terminal_m2):
-        ks = ks_statistic(EmpiricalSample(scalar_terminal_m2), _laplace_cdf)
+        ks = ks_statistic(scalar_terminal_m2, _laplace_cdf)
         assert ks <= KS_1PCT
 
     def test_sign_symmetry(self, scalar_terminal_m2):
-        ks = two_sample_ks(
-            EmpiricalSample(scalar_terminal_m2), EmpiricalSample(-scalar_terminal_m2)
-        )
+        ks = two_sample_ks(scalar_terminal_m2, -scalar_terminal_m2)
         assert ks <= 0.01
 
     def test_mean_zero_band(self):
@@ -185,11 +183,8 @@ class TestGridRefinement:
             at_half[1, r] = c.value_at(0.5)
             increment[0, r] = f.values[-1] - f.value_at(0.5)
             increment[1, r] = c.values[-1] - c.value_at(0.5)
-        assert two_sample_ks(EmpiricalSample(at_half[0]), EmpiricalSample(at_half[1])) <= TWO_SAMPLE_1PCT_1E4
-        assert (
-            two_sample_ks(EmpiricalSample(increment[0]), EmpiricalSample(increment[1]))
-            <= TWO_SAMPLE_1PCT_1E4
-        )
+        assert two_sample_ks(at_half[0], at_half[1]) <= TWO_SAMPLE_1PCT_1E4
+        assert two_sample_ks(increment[0], increment[1]) <= TWO_SAMPLE_1PCT_1E4
 
 
 class TestBatchViews:

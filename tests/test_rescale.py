@@ -12,9 +12,10 @@ from besselbr.rescale import (
     local_bessel_split_batch,
     local_scalar_batch,
     max_process,
+    normal_constants,
     scalar_constants,
 )
-from besselbr.stats import EmpiricalSample, ks_statistic, two_sample_ks
+from besselbr.stats import ks_statistic, two_sample_ks
 from besselbr.tails import chi_square_tail, scalar_product_tail_params
 
 N_REPLICATES = 10**5
@@ -122,11 +123,20 @@ class TestGenericConstants:
         with pytest.raises(ValueError):
             generic_constants(1.0, -2.0, 0.0, 10)
 
-    def test_at_rederives(self):
-        consts = bessel_constants(100, 3)
-        assert consts.at(10**4) == bessel_constants(10**4, 3)
-        gen = generic_constants(0.5, 2.0, 1.0, 100)
-        assert gen.at(10**5) == generic_constants(0.5, 2.0, 1.0, 10**5)
+
+class TestNormalConstants:
+    @pytest.mark.parametrize("n", [2, 10, 1000, 10**6, 10**12, math.e**2])
+    def test_classical_formula_byte_for_byte(self, n):
+        s = math.sqrt(2.0 * math.log(n))
+        b = s - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * s)
+        consts = normal_constants(n)
+        assert consts.a == 1.0 / s
+        assert consts.b == b
+
+    @pytest.mark.parametrize("n", [1, 1.5, 0, -3, math.nan])
+    def test_count_validation(self, n):
+        with pytest.raises(ValueError):
+            normal_constants(n)
 
 
 class TestExactIntensityIdentity:
@@ -166,7 +176,7 @@ class TestLocalBessel:
         n, m = 10**4, 2
         values = local_bessel_batch(np.array([0.0]), n, m, StreamKey(606), N_REPLICATES)[:, 0]
         recovered = 2.0 * values + bessel_constants(n, m).b
-        ks = ks_statistic(EmpiricalSample(recovered), lambda x: 1.0 - np.exp(-x / 2.0))
+        ks = ks_statistic(recovered, lambda x: 1.0 - np.exp(-x / 2.0))
         assert ks <= KS_1PCT
 
     def test_determinism(self):
@@ -183,7 +193,7 @@ class TestLocalScalar:
         values = local_scalar_batch(np.array([0.0]), n, m, StreamKey(707), N_REPLICATES)[:, 0]
         recovered = values + scalar_constants(n, m).b
         cdf = lambda x: np.where(x >= 0, 1.0 - 0.5 * np.exp(-x), 0.5 * np.exp(np.minimum(x, 0)))
-        assert ks_statistic(EmpiricalSample(recovered), cdf) <= KS_1PCT
+        assert ks_statistic(recovered, cdf) <= KS_1PCT
 
     def test_determinism(self):
         ts = make_dyadic_grid(2).points
@@ -201,7 +211,7 @@ class TestDecompositionIdentity:
         direct = local_bessel_batch(ts, 10**4, 2, StreamKey(808), 3 * 10**4)
         split = local_bessel_split_batch(ts, 10**4, 2, StreamKey(809), 3 * 10**4)
         for j in range(2):
-            ks = two_sample_ks(EmpiricalSample(direct[:, j]), EmpiricalSample(split[:, j]))
+            ks = two_sample_ks(direct[:, j], split[:, j])
             assert ks <= 0.014
 
 

@@ -6,8 +6,6 @@ import pytest
 from besselbr.brown_resnick import gumbel_cdf, gumbel_quantile, hr_bivariate_cdf, hr_lambda
 from besselbr.numerics import StreamKey
 from besselbr.stats import (
-    EmpiricalSample,
-    SweepRecord,
     SweepReport,
     bivariate_cdf_diff,
     fdd_check,
@@ -21,59 +19,61 @@ def gumbel_draws(key, count):
     return np.array([gumbel_quantile(p) for p in key.generator().random(count)])
 
 
-class TestEmpiricalSample:
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalSample([0.0, np.nan])
-
-    def test_sorted_values(self):
-        sample = EmpiricalSample([3.0, 1.0, 2.0])
-        assert np.array_equal(sample.sorted_values, [1.0, 2.0, 3.0])
-
-
 class TestKSStatistic:
     def test_single_point_against_gumbel(self):
-        value = ks_statistic(EmpiricalSample([0.0]), gumbel_cdf)
+        value = ks_statistic([0.0], gumbel_cdf)
         assert value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
 
     def test_sample_from_the_model_is_small(self):
         draws = gumbel_draws(StreamKey(11), 10**5)
-        assert ks_statistic(EmpiricalSample(draws), gumbel_cdf) <= 0.0065
+        assert ks_statistic(draws, gumbel_cdf) <= 0.0065
 
     def test_permutation_invariance(self):
         draws = gumbel_draws(StreamKey(12), 500)
-        a = ks_statistic(EmpiricalSample(draws), gumbel_cdf)
-        b = ks_statistic(EmpiricalSample(draws[::-1].copy()), gumbel_cdf)
+        a = ks_statistic(draws, gumbel_cdf)
+        b = ks_statistic(draws[::-1].copy(), gumbel_cdf)
         assert a == b
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            ks_statistic(EmpiricalSample([]), gumbel_cdf)
+            ks_statistic([], gumbel_cdf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ks_statistic([0.0, bad], gumbel_cdf)
 
     @pytest.mark.parametrize("count", [10**3, 10**5])
     def test_respects_critical_band(self, count):
         draws = gumbel_draws(StreamKey(13), count)
-        assert ks_statistic(EmpiricalSample(draws), gumbel_cdf) <= 1.63 / math.sqrt(count)
+        assert ks_statistic(draws, gumbel_cdf) <= 1.63 / math.sqrt(count)
 
 
 class TestTwoSampleKS:
     def test_identical_samples(self):
-        xs = EmpiricalSample([1.0, 2.0, 3.0])
+        xs = [1.0, 2.0, 3.0]
         assert two_sample_ks(xs, xs) == 0.0
 
     def test_disjoint_supports(self):
-        a = EmpiricalSample([0.0, 1.0])
-        b = EmpiricalSample([5.0, 6.0])
+        a = [0.0, 1.0]
+        b = [5.0, 6.0]
         assert two_sample_ks(a, b) == 1.0
 
     def test_symmetry(self):
-        a = EmpiricalSample(gumbel_draws(StreamKey(14), 100))
-        b = EmpiricalSample(gumbel_draws(StreamKey(15), 130))
+        a = gumbel_draws(StreamKey(14), 100)
+        b = gumbel_draws(StreamKey(15), 130)
         assert two_sample_ks(a, b) == two_sample_ks(b, a)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            two_sample_ks(EmpiricalSample([]), EmpiricalSample([1.0]))
+            two_sample_ks([], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            two_sample_ks([0.0, bad], [1.0])
+        with pytest.raises(ValueError):
+            two_sample_ks([1.0], [bad, 0.0])
 
 
 class TestBivariateCdfDiff:
@@ -114,22 +114,18 @@ class TestBivariateCdfDiff:
 
 class TestSweepReport:
     def test_requires_increasing_n(self):
-        records = (
-            SweepRecord(100, 10, "ks", 0.5),
-            SweepRecord(100, 10, "ks", 0.4),
-        )
         with pytest.raises(ValueError):
-            SweepReport(records)
+            SweepReport([100, 100], [0.5, 0.4])
+
+    def test_requires_one_value_per_n(self):
+        with pytest.raises(ValueError):
+            SweepReport([10, 100], [0.5])
 
     def test_verdicts(self):
-        records = (
-            SweepRecord(10, 5, "ks", 0.5),
-            SweepRecord(100, 5, "ks", 0.3),
-            SweepRecord(1000, 5, "ks", 0.2),
-        )
-        report = SweepReport(records)
+        report = SweepReport([10, 100, 1000], [0.5, 0.3, 0.2])
         assert report.decreasing
         assert report.final_value == 0.2
+        assert not SweepReport([10, 100], [0.3, 0.3]).decreasing
 
 
 class TestMarginalGumbelSweep:

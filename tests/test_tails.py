@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from besselbr.numerics import QuadratureSpec, integrate
-from besselbr.rescale import bessel_constants, scalar_constants
+from besselbr.rescale import bessel_constants, generic_constants, scalar_constants
 from besselbr.tails import (
     TailParams,
     check_condition_kk,
@@ -13,6 +14,7 @@ from besselbr.tails import (
     chi_square_tail,
     chi_square_tail_asymptotic,
     chi_square_tail_fn,
+    chi_square_tail_params,
     laplace_tail_fn,
     product_tail_oracle,
     scalar_product_tail_asymptotic,
@@ -190,7 +192,7 @@ class TestProductTailOracle:
 
 class TestGumbelIntensity:
     def test_chi_square_m2_exact(self):
-        consts = bessel_constants(10, 2)
+        consts = lambda n: bessel_constants(n, 2)
         for s in (-1.0, 0.0, 3.0):
             values = check_gumbel_intensity(chi_square_tail_fn(2), consts, s, [10, 10**3, 10**6])
             for v in values:
@@ -198,7 +200,10 @@ class TestGumbelIntensity:
 
     def test_chi_square_m3_errors_shrink(self):
         values = check_gumbel_intensity(
-            chi_square_tail_fn(3), bessel_constants(10**3, 3), 0.0, [10**3, 10**4, 10**5, 10**6]
+            chi_square_tail_fn(3),
+            lambda n: bessel_constants(n, 3),
+            0.0,
+            [10**3, 10**4, 10**5, 10**6],
         )
         errors = [abs(v - 1.0) for v in values]
         assert all(b < a for a, b in zip(errors, errors[1:]))
@@ -206,17 +211,26 @@ class TestGumbelIntensity:
 
     def test_laplace_with_scalar_constants_exact(self):
         values = check_gumbel_intensity(
-            laplace_tail_fn(), scalar_constants(10, 2), 1.0, [10, 10**3, 10**6]
+            laplace_tail_fn(), lambda n: scalar_constants(n, 2), 1.0, [10, 10**3, 10**6]
         )
         for v in values:
             assert v == pytest.approx(math.exp(-1.0), abs=1e-12)
+
+    def test_generic_constants_agree_with_bessel(self):
+        generic = functools.partial(generic_constants, *chi_square_tail_params(2))
+        for s in (-1.0, 0.0, 3.0):
+            got = check_gumbel_intensity(chi_square_tail_fn(2), generic, s, [10, 10**3, 10**6])
+            want = check_gumbel_intensity(
+                chi_square_tail_fn(2), lambda n: bessel_constants(n, 2), s, [10, 10**3, 10**6]
+            )
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestConditionKK:
     def test_chi_square_m2_bounded_at_p4(self):
         seq = check_condition_kk(
             lambda y: chi_square_density(2, y),
-            bessel_constants(10**3, 2),
+            lambda n: bessel_constants(n, 2),
             2.0,
             4.0,
             [10**3, 10**4, 10**5],
@@ -231,7 +245,7 @@ class TestConditionKK:
         # n -> infinity limit  e^2 * 2 sqrt(2 pi) Phi(1) = 31.157...
         seq = check_condition_kk(
             lambda y: chi_square_density(2, y),
-            bessel_constants(10**3, 2),
+            lambda n: bessel_constants(n, 2),
             2.0,
             8.0,
             [10**3, 10**4, 10**5],
@@ -245,7 +259,7 @@ class TestConditionKK:
     def test_degenerate_window_is_zero(self):
         seq = check_condition_kk(
             lambda y: chi_square_density(2, y),
-            bessel_constants(10**3, 2),
+            lambda n: bessel_constants(n, 2),
             10.0,
             4.0,
             [10**3],
@@ -256,8 +270,21 @@ class TestConditionKK:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             check_condition_kk(
-                lambda y: chi_square_density(2, y), bessel_constants(10, 2), -1.0, 4.0, [10]
+                lambda y: chi_square_density(2, y),
+                lambda n: bessel_constants(n, 2),
+                -1.0,
+                4.0,
+                [10],
             )
+
+    def test_generic_constants_agree_with_bessel(self):
+        generic = functools.partial(generic_constants, *chi_square_tail_params(2))
+        args = (2.0, 4.0, [10**3, 10**4, 10**5], ORACLE_QUAD)
+        got = check_condition_kk(lambda y: chi_square_density(2, y), generic, *args)
+        want = check_condition_kk(
+            lambda y: chi_square_density(2, y), lambda n: bessel_constants(n, 2), *args
+        )
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestDensityTailRatio:
