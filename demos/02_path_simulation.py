@@ -1,66 +1,51 @@
 #!/usr/bin/env python3
-"""Exact-increment simulation of the three base processes.
+"""Exact-increment simulation of the squared Bessel and scalar-product processes.
 
-Brownian motion is sampled with exact N(0, dt) increments on the grid, the
-squared Bessel process of dimension m is the sum of squares of m independent
-coordinates, and the scalar-product process pairs two independent
-m-dimensional motions coordinatewise.  Everything is addressed by a
-StreamKey, so every path shown here can be regenerated bit-for-bit.
+Both are built from Brownian coordinates with exact N(0, dt) increments on
+the grid: the squared Bessel process of dimension m is the sum of squares of
+m independent coordinates, and the scalar-product process pairs two
+independent m-dimensional motions coordinatewise.  Each batch sampler returns
+one path per row, drawn from the single stream at its StreamKey, so every
+path shown here can be regenerated bit-for-bit.
 """
 
 import numpy as np
 
-from besselbr import (
-    StreamKey,
-    make_dyadic_grid,
-    max_process,
-    sample_bm,
-    sample_scalar_product,
-    sample_squared_bessel,
-)
+from besselbr import StreamKey, make_dyadic_grid, scalar_product_batch, squared_bessel_batch
 
 grid = make_dyadic_grid(6)
 key = StreamKey(20260810)
 
 print(f"grid: {len(grid)} points, spacing {grid.points[1] - grid.points[0]}")
 
-bm = sample_bm(grid, key)
-bessel = sample_squared_bessel(grid, 3, key.with_replicate(1))
-scalar = sample_scalar_product(grid, 3, key.with_replicate(2))
+bessel = squared_bessel_batch(grid.points, 3, key.with_replicate(1), 1)[0]
+scalar = scalar_product_batch(grid.points, 3, key.with_replicate(2), 1)[0]
 
 print()
-print("one replicate of each process at t in {0, 0.25, 0.5, 0.75, 1}:")
+print("one path of each process at t in {0, 0.25, 0.5, 0.75, 1}:")
 for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-    print(
-        f"  t={t:4}: bm {bm.value_at(t):+8.4f}   squared-bessel {bessel.value_at(t):8.4f}"
-        f"   scalar-product {scalar.value_at(t):+8.4f}"
-    )
+    i = grid.index_of(t)
+    print(f"  t={t:4}: squared-bessel {bessel[i]:8.4f}   scalar-product {scalar[i]:+8.4f}")
 
-again = sample_squared_bessel(grid, 3, key.with_replicate(1))
+again = squared_bessel_batch(grid.points, 3, key.with_replicate(1), 1)[0]
 print()
-print("reproducibility: same key gives identical bytes:",
-      again.values.tobytes() == bessel.values.tobytes())
+print("reproducibility: same key gives identical bytes:", again.tobytes() == bessel.tobytes())
 
 print()
-print("Monte Carlo sanity at t = 1 (5000 replicates each):")
+print("Monte Carlo sanity at t = 1 (5000 rows each):")
 reps = 5000
-terminal_bessel = np.array(
-    [sample_squared_bessel(grid, 3, key.with_replicate(r)).values[-1] for r in range(reps)]
-)
-terminal_scalar = np.array(
-    [sample_scalar_product(grid, 2, key.with_replicate(r)).values[-1] for r in range(reps)]
-)
+terminal_bessel = squared_bessel_batch([1.0], 3, key.with_replicate(3), reps)[:, 0]
+terminal_scalar = scalar_product_batch([1.0], 2, key.with_replicate(4), reps)[:, 0]
 print(f"  squared-bessel m=3: mean {terminal_bessel.mean():.3f} (chi2_3 mean 3),"
       f" var {terminal_bessel.var():.3f} (chi2_3 var 6)")
 print(f"  scalar-product m=2: mean {terminal_scalar.mean():+.4f} (0),"
       f" var {terminal_scalar.var():.3f} (2)")
 
 print()
-print("pointwise maximum of 5 Brownian paths never goes below any of them:")
-paths = [sample_bm(grid, key.with_replicate(100 + r)) for r in range(5)]
-envelope = max_process(paths)
-print("  min over grid of (envelope - path):",
-      min(float(np.min(envelope.values - p.values)) for p in paths))
+print("pointwise maximum of 5 squared Bessel paths never goes below any of them:")
+rows = squared_bessel_batch(grid.points, 3, key.with_replicate(100), 5)
+envelope = rows.max(axis=0)
+print("  min over grid of (envelope - path):", float(np.min(envelope - rows)))
 
 try:
     import matplotlib
@@ -68,13 +53,15 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    fig, axes = plt.subplots(1, 3, figsize=(12, 3.2), sharex=True)
+    fig, axes = plt.subplots(1, 2, figsize=(8, 3.2), sharex=True)
     for ax, path, title in zip(
-        axes, (bm, bessel, scalar), ("Brownian motion", "squared Bessel (m=3)", "scalar product (m=3)")
+        axes, (bessel, scalar), ("squared Bessel (m=3)", "scalar product (m=3)")
     ):
-        ax.plot(path.grid.points, path.values, lw=1.2)
+        ax.plot(grid.points, path, lw=1.2)
         ax.set_title(title)
         ax.set_xlabel("t")
+    axes[0].plot(grid.points, envelope, lw=1.2, ls="--", label="max of 5 paths")
+    axes[0].legend()
     fig.tight_layout()
     fig.savefig("paths_demo.png", dpi=120)
     print()

@@ -45,17 +45,17 @@ print(f"  KS distance to Gumbel: {ks:.4f}  (1% critical at N=3000: {1.63/np.sqrt
 print()
 print("dependence of the pair (M(s), M(t)):")
 for s, t in ((0.0, 0.1), (0.0, 0.5), (0.0, 1.0)):
-    params = hr_lambda(s, t)
-    theta = extremal_coefficient(params)
-    print(f"  |t-s| = {t-s:.1f}: lambda = {params.lam:.4f}, extremal coefficient {theta:.4f}")
+    lam = hr_lambda(s, t)
+    theta = extremal_coefficient(lam)
+    print(f"  |t-s| = {t-s:.1f}: lambda = {lam:.4f}, extremal coefficient {theta:.4f}")
 
 print()
 print("empirical joint CDF vs the Husler-Reiss model at (s, t) = (0, 1):")
 pairs = batch[:, [grid.index_of(0.0), grid.index_of(1.0)]]
-params = hr_lambda(0.0, 1.0)
+lam = hr_lambda(0.0, 1.0)
 for x, y in ((-1.0, 0.0), (0.0, 0.0), (1.0, 1.0)):
     empirical = float(np.mean((pairs[:, 0] <= x) & (pairs[:, 1] <= y)))
-    model = hr_bivariate_cdf(x, y, params)
+    model = hr_bivariate_cdf(x, y, lam)
     print(f"  F({x:+.0f}, {y:+.0f}): empirical {empirical:.4f}, model {model:.4f}")
 
 print()

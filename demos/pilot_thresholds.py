@@ -203,15 +203,13 @@ def scan_candidate(seed):
 
 def pilot_discrimination(replicates=20000):
     banner(f"dependence discrimination at {replicates} replicates")
-    from besselbr import HRParams, TimeGrid, hr_bivariate_cdf
+    from besselbr import TimeGrid, hr_bivariate_cdf
     from besselbr.stats import _local_pair_maxima, bivariate_cdf_diff
 
     levels = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
 
     def diff_vs(pairs, lam):
-        return bivariate_cdf_diff(
-            pairs, lambda x, y: hr_bivariate_cdf(x, y, HRParams(lam)), levels
-        )
+        return bivariate_cdf_diff(pairs, lambda x, y: hr_bivariate_cdf(x, y, lam), levels)
 
     lams = (0.5, 0.5 * 2**0.5, 0.5 / 2**0.5)
     for process in ("bessel", "scalar"):

@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 
 from .brown_resnick import (
     BRTruncationSpec,
-    HRParams,
     TruncationError,
     extremal_coefficient,
     gumbel_cdf,
-    gumbel_quantile,
     hr_bivariate_cdf,
     hr_lambda,
     sample_br,
@@ -33,9 +31,6 @@ from .paths import (
     SamplePath,
     TimeGrid,
     make_dyadic_grid,
-    sample_bm,
-    sample_scalar_product,
-    sample_squared_bessel,
     scalar_product_batch,
     squared_bessel_batch,
 )
@@ -46,7 +41,6 @@ from .rescale import (
     local_bessel_batch,
     local_bessel_split_batch,
     local_scalar_batch,
-    max_process,
     normal_constants,
     scalar_constants,
 )

@@ -18,10 +18,8 @@ from .paths import SamplePath, TimeGrid
 
 __all__ = [
     "BRTruncationSpec",
-    "HRParams",
     "TruncationError",
     "gumbel_cdf",
-    "gumbel_quantile",
     "sample_br",
     "sample_br_batch",
     "hr_lambda",
@@ -47,18 +45,6 @@ class BRTruncationSpec:
             raise ValueError("max_points must be at least 1")
 
 
-@dataclass(frozen=True)
-class HRParams:
-    """Husler-Reiss dependence parameter; lam = 0 is complete dependence,
-    lam = inf independence."""
-
-    lam: float
-
-    def __post_init__(self):
-        if math.isnan(self.lam) or self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative (or inf), got {self.lam}")
-
-
 class TruncationError(RuntimeError):
     """Point budget exhausted before the truncation rule certified the path."""
 
@@ -77,13 +63,6 @@ def gumbel_cdf(x):
     # not np.exp: numpy's SIMD exp differs in the last bit on 30,455 of 10^6 Gumbel draws
     out = np.fromiter((math.exp(-math.exp(-v)) for v in x.ravel().tolist()), float, x.size)
     return out.reshape(x.shape) if x.ndim else float(out[0])
-
-
-def gumbel_quantile(p) -> float:
-    """Inverse of the standard Gumbel distribution function on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"gumbel_quantile requires p in (0, 1), got {p}")
-    return -math.log(-math.log(p))
 
 
 def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SamplePath:
@@ -161,23 +140,28 @@ def sample_br_batch(
     return np.concatenate(parallel_map(chunk, -(-replicates // BR_CHUNK), threads))
 
 
-def hr_lambda(s, t) -> HRParams:
+def hr_lambda(s, t) -> float:
     """Dependence parameter of the Brown-Resnick pair (M(s), M(t)):
     lambda = sqrt(|t - s|) / 2."""
     for u in (s, t):
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"times must lie in [0, 1], got {u}")
-    return HRParams(math.sqrt(abs(t - s)) / 2.0)
+    return math.sqrt(abs(t - s)) / 2.0
 
 
-def hr_bivariate_cdf(x, y, p: HRParams):
+def _check_lambda(lam):
+    if math.isnan(lam) or lam < 0:
+        raise ValueError(f"lambda must be nonnegative (or inf), got {lam}")
+
+
+def hr_bivariate_cdf(x, y, lam: float):
     """Husler-Reiss bivariate distribution function with Gumbel margins.
 
     F(x, y) = exp(-e^{-x} Phi(lam + (y-x)/(2 lam)) - e^{-y} Phi(lam + (x-y)/(2 lam)))
     with the complete-dependence (lam = 0) and independence (lam = inf) limits.
     ``x`` and ``y`` broadcast against each other; floats in give a float out.
     """
-    lam = p.lam
+    _check_lambda(lam)
     if lam == 0.0:
         return gumbel_cdf(np.minimum(x, y))
     if math.isinf(lam):
@@ -187,9 +171,10 @@ def hr_bivariate_cdf(x, y, p: HRParams):
     return out if out.ndim else float(out)
 
 
-def extremal_coefficient(p: HRParams) -> float:
+def extremal_coefficient(lam: float) -> float:
     """Effective number of independent components of a Husler-Reiss pair:
     theta = 2 Phi(lambda), clamped to [1, 2]."""
-    if math.isinf(p.lam):
+    _check_lambda(lam)
+    if math.isinf(lam):
         return 2.0
-    return float(min(2.0, max(1.0, 2.0 * sc.ndtr(p.lam))))
+    return float(min(2.0, max(1.0, 2.0 * sc.ndtr(lam))))

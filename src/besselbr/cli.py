@@ -123,6 +123,16 @@ def _int_list(text: str):
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     # report reals must serialise, so a non-finite flag is a usage error
     try:
@@ -151,7 +161,7 @@ def _add_common(parser, threads=False):
         help="embed wall-clock timings in the report (breaks byte-reproducibility)",
     )
     if threads:
-        parser.add_argument("--threads", type=int, default=1)
+        parser.add_argument("--threads", type=_positive_int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,19 +174,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="print norming constants (a, b)")
     p.add_argument("--process", choices=("bessel", "scalar", "bm"), required=True)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_positive_int, default=2, help="dimension (unused for bm)")
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
 
     p = sub.add_parser("tail-check", help="exact vs asymptotic tail at one point")
     p.add_argument("--process", choices=("bessel", "scalar"), default="scalar")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_positive_int, default=2)
     p.add_argument("--x", type=_finite_float, required=True)
     p.add_argument("--threshold", type=_finite_float, default=0.05, help="bound on |ratio - 1|")
     _add_common(p)
 
     p = sub.add_parser("kk-check", help="Gaussian-damped lower-tail boundedness sequence")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_positive_int, default=2)
     p.add_argument("--r", type=_finite_float, default=2.0)
     p.add_argument("--p", type=_finite_float, default=4.0)
     p.add_argument("--ns", type=_int_list, default=[1000, 10000, 100000])
@@ -185,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("marginal-sweep", help="KS-to-Gumbel sweep of normalised maxima")
     p.add_argument("--process", choices=("bessel", "scalar", "bm"), required=True)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_positive_int, default=2)
     p.add_argument("--ns", type=_int_list, default=[100, 1000, 10000])
     p.add_argument("--replicates", type=int, default=2000)
     p.add_argument("--threshold", type=_finite_float, default=0.10, help="bound on the final KS")
@@ -198,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fdd-check", help="two-time check against the Husler-Reiss law")
     p.add_argument("--process", choices=("bessel", "scalar", "br"), required=True)
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=_positive_int, default=2, help="dimension (bessel/scalar only)")
     p.add_argument("--times", type=_float_list, default=[0.0, 1.0])
-    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--n", type=int, default=10000, help="copies per maximum (bessel/scalar only)")
     p.add_argument("--replicates", type=int, default=2000)
     p.add_argument(
         "--epsilon", type=_finite_float, default=1e-4, help="truncation budget (br only)"

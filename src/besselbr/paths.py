@@ -4,8 +4,7 @@ One kernel, :func:`_brownian`, places exact Gaussian increments between
 consecutive times, so the joint law at those times carries no discretisation
 bias.  The squared Bessel and scalar-product batches are assembled from its
 Brownian coordinates by their defining sums, and every sampler draws all
-coordinates of all rows from the single stream at its key, in C order; the
-per-path samplers are row 0 of a batch of one.
+coordinates of all rows from the single stream at its key, in C order.
 """
 
 import numpy as np
@@ -16,9 +15,6 @@ __all__ = [
     "TimeGrid",
     "SamplePath",
     "make_dyadic_grid",
-    "sample_bm",
-    "sample_squared_bessel",
-    "sample_scalar_product",
     "squared_bessel_batch",
     "scalar_product_batch",
 ]
@@ -47,9 +43,6 @@ class TimeGrid:
     def __len__(self):
         return self.points.size
 
-    def __eq__(self, other):
-        return isinstance(other, TimeGrid) and np.array_equal(self.points, other.points)
-
     def __repr__(self):
         return f"TimeGrid({self.points.size} points on [0, 1])"
 
@@ -75,9 +68,6 @@ class SamplePath:
         vals.flags.writeable = False
         self.grid = grid
         self.values = vals
-
-    def value_at(self, t) -> float:
-        return float(self.values[self.grid.index_of(t)])
 
     def __repr__(self):
         return f"SamplePath({self.grid!r})"
@@ -115,15 +105,6 @@ def _brownian(times: np.ndarray, rng: np.random.Generator, shape: tuple) -> np.n
     return np.cumsum(z, axis=-1, out=z)
 
 
-def sample_bm(grid: TimeGrid, key: StreamKey) -> SamplePath:
-    """Standard Brownian motion observed on ``grid``.
-
-    The increment over each grid interval is an exact N(0, dt) draw, so the
-    joint distribution at the grid points is the true Brownian one.
-    """
-    return SamplePath(grid, np.append(0.0, _brownian(grid.points[1:], key.generator(), ())))
-
-
 def _check_dimension(m):
     if m < 1 or int(m) != m:
         raise ValueError(f"dimension m must be a positive integer, got {m}")
@@ -149,17 +130,3 @@ def scalar_product_batch(times, m: int, key: StreamKey, count: int) -> np.ndarra
     _check_dimension(m)
     bm, bm_tilde = _brownian(_checked_times(times), key.generator(), (2, count, m))
     return np.einsum("ijk,ijk->ik", bm, bm_tilde)
-
-
-def sample_squared_bessel(grid: TimeGrid, m: int, key: StreamKey) -> SamplePath:
-    """Row 0 of :func:`squared_bessel_batch` on ``grid``, exactly 0 at time 0.
-
-    No draw is spent on time 0; the value at time t is t * chi-square(m) in
-    distribution.
-    """
-    return SamplePath(grid, np.append(0.0, squared_bessel_batch(grid.points[1:], m, key, 1)[0]))
-
-
-def sample_scalar_product(grid: TimeGrid, m: int, key: StreamKey) -> SamplePath:
-    """Row 0 of :func:`scalar_product_batch` on ``grid``, exactly 0 at time 0."""
-    return SamplePath(grid, np.append(0.0, scalar_product_batch(grid.points[1:], m, key, 1)[0]))

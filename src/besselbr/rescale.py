@@ -1,10 +1,10 @@
-"""Norming constants, locally rescaled processes, and pointwise-maximum aggregation.
+"""Norming constants and locally rescaled processes.
 
 The running maximum of n independent squared Bessel (chi-square) or Brownian
 scalar-product processes converges, after an affine space normalisation and a
 shrinking time window around t = 1, to the Brown-Resnick process.  This
-module owns the normalising constants of those limit theorems, the samplers
-for the rescaled processes, and the pointwise maximum that ties them together.
+module owns the normalising constants of those limit theorems and the samplers
+for the rescaled processes.
 
 Every centering constant b here is calibrated so that
 
@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special as sc
 
 from .numerics import StreamKey
-from .paths import SamplePath, _brownian, _check_dimension, _checked_times
+from .paths import _brownian, _check_dimension, _checked_times
 from .paths import scalar_product_batch, squared_bessel_batch
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "scalar_constants",
     "generic_constants",
     "normal_constants",
-    "max_process",
     "local_bessel_batch",
     "local_bessel_split_batch",
     "local_scalar_batch",
@@ -116,18 +115,6 @@ def normal_constants(n) -> NormingConstants:
     s = math.sqrt(2.0 * math.log(n))
     b = s - (math.log(math.log(n)) + math.log(4.0 * math.pi)) / (2.0 * s)
     return NormingConstants(1.0 / s, b)
-
-
-def max_process(paths) -> SamplePath:
-    """Pointwise maximum of sample paths living on one common grid."""
-    paths = list(paths)
-    if not paths:
-        raise ValueError("max_process needs at least one path")
-    grid = paths[0].grid
-    for p in paths[1:]:
-        if not np.array_equal(p.grid.points, grid.points):
-            raise ValueError("all paths must share one grid")
-    return SamplePath(grid, np.maximum.reduce([p.values for p in paths]))
 
 
 def local_bessel_batch(ts, n, m: int, key: StreamKey, count: int) -> np.ndarray:

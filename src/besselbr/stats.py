@@ -261,6 +261,6 @@ def fdd_check(
     else:
         raise ValueError(f"process must be bessel, scalar or br, got {process!r}")
 
-    params = hr_lambda(s, t)
+    lam = hr_lambda(s, t)
     grid = [(x, y) for x in _FDD_LEVELS for y in _FDD_LEVELS]
-    return bivariate_cdf_diff(pairs, lambda x, y: hr_bivariate_cdf(x, y, params), grid)
+    return bivariate_cdf_diff(pairs, lambda x, y: hr_bivariate_cdf(x, y, lam), grid)

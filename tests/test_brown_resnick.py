@@ -5,11 +5,9 @@ import pytest
 
 from besselbr.brown_resnick import (
     BRTruncationSpec,
-    HRParams,
     TruncationError,
     extremal_coefficient,
     gumbel_cdf,
-    gumbel_quantile,
     hr_bivariate_cdf,
     hr_lambda,
     sample_br,
@@ -36,7 +34,7 @@ class TestGumbel:
 
     def test_quantile_round_trip(self):
         for p in (0.01, 0.4, 0.97):
-            assert gumbel_cdf(gumbel_quantile(p)) == pytest.approx(p, abs=1e-12)
+            assert gumbel_cdf(-math.log(-math.log(p))) == pytest.approx(p, abs=1e-12)
 
     def test_array_matches_math_exp_bytes(self):
         def reference(x):
@@ -55,89 +53,89 @@ class TestGumbel:
 
 class TestHRLambda:
     def test_equal_times(self):
-        assert hr_lambda(0.3, 0.3).lam == 0.0
+        assert hr_lambda(0.3, 0.3) == 0.0
 
     def test_unit_gap(self):
-        assert hr_lambda(0.0, 1.0).lam == pytest.approx(0.5, abs=0)
+        assert hr_lambda(0.0, 1.0) == pytest.approx(0.5, abs=0)
 
     def test_symmetry(self):
-        assert hr_lambda(0.2, 0.9).lam == hr_lambda(0.9, 0.2).lam
+        assert hr_lambda(0.2, 0.9) == hr_lambda(0.9, 0.2)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             hr_lambda(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            HRParams(-1.0)
+        for lam in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                hr_bivariate_cdf(0.0, 0.0, lam)
+            with pytest.raises(ValueError):
+                extremal_coefficient(lam)
 
 
 class TestHRBivariate:
     def test_complete_dependence(self):
-        assert hr_bivariate_cdf(0.0, 1.0, HRParams(0.0)) == pytest.approx(
+        assert hr_bivariate_cdf(0.0, 1.0, 0.0) == pytest.approx(
             math.exp(-1.0), abs=1e-15
         )
 
     def test_independence(self):
-        assert hr_bivariate_cdf(0.0, 0.0, HRParams(math.inf)) == pytest.approx(
+        assert hr_bivariate_cdf(0.0, 0.0, math.inf) == pytest.approx(
             math.exp(-2.0), abs=1e-15
         )
 
     def test_diagonal_value(self):
         # F(0, 0) = exp(-2 Phi(1/2)); reference via the error function
         phi_half = 0.5 * (1.0 + math.erf(0.5 / math.sqrt(2.0)))
-        assert hr_bivariate_cdf(0.0, 0.0, HRParams(0.5)) == pytest.approx(
+        assert hr_bivariate_cdf(0.0, 0.0, 0.5) == pytest.approx(
             math.exp(-2.0 * phi_half), abs=1e-14
         )
-        assert hr_bivariate_cdf(0.0, 0.0, HRParams(0.5)) == pytest.approx(0.2509, abs=2e-4)
+        assert hr_bivariate_cdf(0.0, 0.0, 0.5) == pytest.approx(0.2509, abs=2e-4)
 
     @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("x", [-1.0, 0.0, 2.0])
     def test_diagonal_matches_extremal_coefficient(self, lam, x):
-        p = HRParams(lam)
-        theta = extremal_coefficient(p)
-        assert hr_bivariate_cdf(x, x, p) == pytest.approx(
+        theta = extremal_coefficient(lam)
+        assert hr_bivariate_cdf(x, x, lam) == pytest.approx(
             math.exp(theta * math.log(gumbel_cdf(x))), abs=1e-12
         )
 
     @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 2.0, math.inf])
     def test_arrays_match_elementwise_calls(self, lam):
-        p = HRParams(lam)
         levels = np.concatenate([np.linspace(-3.0, 4.0, 29), [-30.0, 40.0]])
-        values = hr_bivariate_cdf(levels[:, None], levels[None, :], p)
-        expected = [[hr_bivariate_cdf(x, y, p) for y in levels.tolist()] for x in levels.tolist()]
+        values = hr_bivariate_cdf(levels[:, None], levels[None, :], lam)
+        expected = [[hr_bivariate_cdf(x, y, lam) for y in levels.tolist()] for x in levels.tolist()]
         assert values.tobytes() == np.array(expected).tobytes()
-        assert hr_bivariate_cdf(levels, levels[::-1], p).tobytes() == np.diag(
+        assert hr_bivariate_cdf(levels, levels[::-1], lam).tobytes() == np.diag(
             np.array(expected)[:, ::-1]
         ).tobytes()
-        assert isinstance(hr_bivariate_cdf(0.5, -0.5, p), float)
+        assert isinstance(hr_bivariate_cdf(0.5, -0.5, lam), float)
 
     def test_monotone_and_frechet_bounds(self):
         levels = np.linspace(-2.0, 3.0, 5)
         for lam in (0.0, 0.3, 0.8, 5.0):
-            p = HRParams(lam)
             for x in levels:
                 for y in levels:
-                    f = hr_bivariate_cdf(x, y, p)
+                    f = hr_bivariate_cdf(x, y, lam)
                     assert f <= min(gumbel_cdf(x), gumbel_cdf(y)) + 1e-15
                     assert f >= gumbel_cdf(x) * gumbel_cdf(y) - 1e-15
                     # nondecreasing in each argument
-                    assert hr_bivariate_cdf(x + 0.5, y, p) >= f - 1e-15
-                    assert hr_bivariate_cdf(x, y + 0.5, p) >= f - 1e-15
+                    assert hr_bivariate_cdf(x + 0.5, y, lam) >= f - 1e-15
+                    assert hr_bivariate_cdf(x, y + 0.5, lam) >= f - 1e-15
 
 
 class TestExtremalCoefficient:
     def test_limits(self):
-        assert extremal_coefficient(HRParams(0.0)) == 1.0
-        assert extremal_coefficient(HRParams(math.inf)) == 2.0
+        assert extremal_coefficient(0.0) == 1.0
+        assert extremal_coefficient(math.inf) == 2.0
 
     def test_half(self):
-        assert extremal_coefficient(HRParams(0.5)) == pytest.approx(
+        assert extremal_coefficient(0.5) == pytest.approx(
             1.0 + math.erf(0.5 / math.sqrt(2.0)), abs=1e-14
         )
-        assert extremal_coefficient(HRParams(0.5)) == pytest.approx(1.38292, abs=1e-5)
+        assert extremal_coefficient(0.5) == pytest.approx(1.38292, abs=1e-5)
 
     def test_range(self):
         for lam in (0.0, 0.1, 1.0, 3.0, 10.0):
-            assert 1.0 <= extremal_coefficient(HRParams(lam)) <= 2.0
+            assert 1.0 <= extremal_coefficient(lam) <= 2.0
 
 
 class TestTruncationSpec:
@@ -203,7 +201,7 @@ class TestSampleBR:
         )[:, col]
         combined = np.maximum(batch[:, col], other) - math.log(2.0)
         reference = np.array(
-            [gumbel_quantile(p) for p in StreamKey(2028).generator().random(5000)]
+            [-math.log(-math.log(p)) for p in StreamKey(2028).generator().random(5000)]
         )
         ks = two_sample_ks(combined, reference)
         assert ks <= 0.033
@@ -211,12 +209,12 @@ class TestSampleBR:
     def test_agrees_with_hr_bivariate(self, br_batch_k4):
         grid, batch = br_batch_k4
         pairs = batch[:, [grid.index_of(0.0), grid.index_of(1.0)]]
-        params = hr_lambda(0.0, 1.0)
+        lam = hr_lambda(0.0, 1.0)
         worst = 0.0
         for x in (-1.0, 0.0, 1.0):
             for y in (-1.0, 0.0, 1.0):
                 emp = float(np.mean((pairs[:, 0] <= x) & (pairs[:, 1] <= y)))
-                worst = max(worst, abs(emp - hr_bivariate_cdf(x, y, params)))
+                worst = max(worst, abs(emp - hr_bivariate_cdf(x, y, lam)))
         assert worst <= 0.04  # 5000 replicates; the acceptance suite re-runs this at 1e4
 
     def test_epsilon_insensitivity_quick(self):

@@ -131,6 +131,21 @@ class TestExitCodes:
         assert "expected a finite real" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "marginal-sweep --process bm --ns 100 --replicates 10 --threads 0",
+            "br-selftest --grid-k 2 --replicates 20 --threads -5 --marginal-threshold 1"
+            " --two-sample-threshold 1",
+            "constants --process bm --m 0 --n 100",
+        ],
+    )
+    def test_nonpositive_count_flag_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        assert run(argv.split() + ["--seed", "1", "--out", str(out)]) == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_exhausted_point_budget_is_reported_cleanly(self, capsys):
         code = run(["br-sample", "--epsilon", "1e-9", "--max-points", "2", "--seed", "1"])
         assert code == 2

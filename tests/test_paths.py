@@ -8,10 +8,8 @@ from besselbr.numerics import StreamKey
 from besselbr.paths import (
     SamplePath,
     TimeGrid,
+    _brownian,
     make_dyadic_grid,
-    sample_bm,
-    sample_scalar_product,
-    sample_squared_bessel,
     scalar_product_batch,
     squared_bessel_batch,
 )
@@ -75,18 +73,14 @@ class TestSamplePath:
 def bm_endpoints():
     # values at t in {0, 0.5, 1} across many replicates, reused by the
     # distributional tests below
-    grid = TimeGrid([0.0, 0.5, 1.0])
-    out = np.empty((N_REPLICATES, 3))
-    key = StreamKey(101)
-    for r in range(N_REPLICATES):
-        out[r] = sample_bm(grid, key.with_replicate(r)).values
-    return out
+    times = TimeGrid([0.0, 0.5, 1.0]).points
+    return _brownian(times, StreamKey(101).generator(), (N_REPLICATES,))
 
 
 class TestBrownianMotion:
     def test_starts_at_zero(self):
-        path = sample_bm(make_dyadic_grid(4), StreamKey(3))
-        assert path.values[0] == 0.0
+        path = _brownian(make_dyadic_grid(4).points, StreamKey(3).generator(), ())
+        assert path[0] == 0.0
 
     def test_terminal_value_is_standard_normal(self, bm_endpoints):
         ks = ks_statistic(bm_endpoints[:, 2], sc.ndtr)
@@ -97,25 +91,22 @@ class TestBrownianMotion:
         assert abs(bm_endpoints[:, 1].var() - 0.5) <= 0.01
 
     def test_determinism(self):
-        grid = make_dyadic_grid(5)
+        times = make_dyadic_grid(5).points
         key = StreamKey(55, replicate_index=4)
-        assert sample_bm(grid, key).values.tobytes() == sample_bm(grid, key).values.tobytes()
+        first = _brownian(times, key.generator(), ())
+        assert first.tobytes() == _brownian(times, key.generator(), ()).tobytes()
 
 
 @pytest.fixture(scope="module")
 def bessel_terminal_m2():
-    grid = TimeGrid([0.0, 1.0])
-    key = StreamKey(202)
-    return np.array(
-        [sample_squared_bessel(grid, 2, key.with_replicate(r)).values[1] for r in range(N_REPLICATES)]
-    )
+    return squared_bessel_batch([1.0], 2, StreamKey(202), N_REPLICATES)[:, 0]
 
 
 class TestSquaredBessel:
     def test_starts_at_zero_and_nonnegative(self):
-        path = sample_squared_bessel(make_dyadic_grid(4), 3, StreamKey(9))
-        assert path.values[0] == 0.0
-        assert np.all(path.values >= 0.0)
+        path = squared_bessel_batch(make_dyadic_grid(4).points, 3, StreamKey(9), 1)[0]
+        assert path[0] == 0.0
+        assert np.all(path >= 0.0)
 
     def test_m2_terminal_tail_is_exponential(self, bessel_terminal_m2):
         ks = ks_statistic(bessel_terminal_m2, lambda x: 1.0 - np.exp(-x / 2.0))
@@ -123,7 +114,7 @@ class TestSquaredBessel:
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            sample_squared_bessel(make_dyadic_grid(1), 0, StreamKey(1))
+            squared_bessel_batch(make_dyadic_grid(1).points, 0, StreamKey(1), 1)
 
 
 def _laplace_cdf(x):
@@ -133,17 +124,13 @@ def _laplace_cdf(x):
 
 @pytest.fixture(scope="module")
 def scalar_terminal_m2():
-    grid = TimeGrid([0.0, 1.0])
-    key = StreamKey(303)
-    return np.array(
-        [sample_scalar_product(grid, 2, key.with_replicate(r)).values[1] for r in range(N_REPLICATES)]
-    )
+    return scalar_product_batch([1.0], 2, StreamKey(303), N_REPLICATES)[:, 0]
 
 
 class TestScalarProduct:
     def test_starts_at_zero(self):
-        path = sample_scalar_product(make_dyadic_grid(3), 2, StreamKey(4))
-        assert path.values[0] == 0.0
+        path = scalar_product_batch(make_dyadic_grid(3).points, 2, StreamKey(4), 1)[0]
+        assert path[0] == 0.0
 
     def test_m2_terminal_is_laplace(self, scalar_terminal_m2):
         ks = ks_statistic(scalar_terminal_m2, _laplace_cdf)
@@ -157,11 +144,7 @@ class TestScalarProduct:
         # pointwise 4-sigma band; sd of the mean at time t is t sqrt(m/N)
         grid = make_dyadic_grid(4)
         n = 20000
-        key = StreamKey(404)
-        acc = np.zeros(len(grid))
-        for r in range(n):
-            acc += sample_scalar_product(grid, 2, key.with_replicate(r)).values
-        means = acc / n
+        means = scalar_product_batch(grid.points, 2, StreamKey(404), n).mean(axis=0)
         bands = 4.0 * grid.points * math.sqrt(2.0 / n)
         assert np.all(np.abs(means) <= np.maximum(bands, 1e-12))
 
@@ -173,48 +156,23 @@ class TestGridRefinement:
         # increment over (0.5, 1]
         fine, coarse = make_dyadic_grid(4), make_dyadic_grid(3)
         n = 10**4
-        key_fine, key_coarse = StreamKey(70), StreamKey(71)
-        at_half = np.empty((2, n))
-        increment = np.empty((2, n))
-        for r in range(n):
-            f = sample_bm(fine, key_fine.with_replicate(r))
-            c = sample_bm(coarse, key_coarse.with_replicate(r))
-            at_half[0, r] = f.value_at(0.5)
-            at_half[1, r] = c.value_at(0.5)
-            increment[0, r] = f.values[-1] - f.value_at(0.5)
-            increment[1, r] = c.values[-1] - c.value_at(0.5)
-        assert two_sample_ks(at_half[0], at_half[1]) <= TWO_SAMPLE_1PCT_1E4
-        assert two_sample_ks(increment[0], increment[1]) <= TWO_SAMPLE_1PCT_1E4
-
-
-class TestBatchViews:
-    @pytest.mark.parametrize(
-        "sampler, batch",
-        [
-            (sample_squared_bessel, squared_bessel_batch),
-            (sample_scalar_product, scalar_product_batch),
-        ],
-    )
-    def test_path_is_row_zero_of_batch(self, sampler, batch):
-        # per-path samplers spend no draw on t = 0 and read row 0 of a batch
-        grid = make_dyadic_grid(3)
-        key = StreamKey(98, replicate_index=5)
-        path = sampler(grid, 3, key)
-        assert path.values[0] == 0.0
-        row = batch(grid.points[1:], 3, key, 1)[0]
-        assert path.values[1:].tobytes() == row.tobytes()
+        f = _brownian(fine.points, StreamKey(70).generator(), (n,))
+        c = _brownian(coarse.points, StreamKey(71).generator(), (n,))
+        f_half, c_half = f[:, fine.index_of(0.5)], c[:, coarse.index_of(0.5)]
+        assert two_sample_ks(f_half, c_half) <= TWO_SAMPLE_1PCT_1E4
+        assert two_sample_ks(f[:, -1] - f_half, c[:, -1] - c_half) <= TWO_SAMPLE_1PCT_1E4
 
 
 class TestDeterminism:
     @pytest.mark.parametrize(
         "sampler",
         [
-            lambda g, k: sample_bm(g, k),
-            lambda g, k: sample_squared_bessel(g, 3, k),
-            lambda g, k: sample_scalar_product(g, 2, k),
+            lambda t, k: _brownian(t, k.generator(), ()),
+            lambda t, k: squared_bessel_batch(t, 3, k, 1),
+            lambda t, k: scalar_product_batch(t, 2, k, 1),
         ],
     )
     def test_identical_key_identical_bytes(self, sampler):
-        grid = make_dyadic_grid(4)
+        times = make_dyadic_grid(4).points
         key = StreamKey(99, replicate_index=7)
-        assert sampler(grid, key).values.tobytes() == sampler(grid, key).values.tobytes()
+        assert sampler(times, key).tobytes() == sampler(times, key).tobytes()

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from besselbr.numerics import StreamKey
-from besselbr.paths import SamplePath, make_dyadic_grid, scalar_product_batch, squared_bessel_batch
+from besselbr.paths import make_dyadic_grid, scalar_product_batch, squared_bessel_batch
 from besselbr.rescale import (
     bessel_constants,
     generic_constants,
     local_bessel_batch,
     local_bessel_split_batch,
     local_scalar_batch,
-    max_process,
     normal_constants,
     scalar_constants,
 )
@@ -213,46 +212,3 @@ class TestDecompositionIdentity:
         for j in range(2):
             ks = two_sample_ks(direct[:, j], split[:, j])
             assert ks <= 0.014
-
-
-class TestMaxProcess:
-    def test_single_path_identity(self):
-        grid = make_dyadic_grid(2)
-        path = SamplePath(grid, np.arange(len(grid), dtype=float))
-        out = max_process([path])
-        assert np.array_equal(out.values, path.values)
-
-    def test_two_constant_paths(self):
-        grid = make_dyadic_grid(1)
-        low = SamplePath(grid, np.full(3, 1.0))
-        high = SamplePath(grid, np.full(3, 2.0))
-        assert np.array_equal(max_process([low, high]).values, high.values)
-
-    def test_adding_a_path_never_decreases(self):
-        grid = make_dyadic_grid(3)
-        key = StreamKey(17)
-        from besselbr.paths import sample_bm
-
-        paths = [sample_bm(grid, key.with_replicate(r)) for r in range(5)]
-        base = max_process(paths[:3]).values
-        extended = max_process(paths).values
-        assert np.all(extended >= base)
-
-    def test_permutation_invariance(self):
-        grid = make_dyadic_grid(3)
-        key = StreamKey(18)
-        from besselbr.paths import sample_bm
-
-        paths = [sample_bm(grid, key.with_replicate(r)) for r in range(6)]
-        forward = max_process(paths).values.tobytes()
-        backward = max_process(paths[::-1]).values.tobytes()
-        shuffled = max_process([paths[i] for i in (3, 0, 5, 1, 4, 2)]).values.tobytes()
-        assert forward == backward == shuffled
-
-    def test_usage_errors(self):
-        with pytest.raises(ValueError):
-            max_process([])
-        a = SamplePath(make_dyadic_grid(1), np.zeros(3))
-        b = SamplePath(make_dyadic_grid(2), np.zeros(5))
-        with pytest.raises(ValueError):
-            max_process([a, b])
