@@ -82,8 +82,11 @@ def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SampleP
     with X_k + c_eps < m*, where c_eps = Phi^{-1}(1 - epsilon/2).  Each
     discarded point then had probability at most epsilon of mattering, and
     the levels of subsequent discarded points fall off geometrically fast.
+
+    Points are drawn and processed in chunks of 64 with array operations; the
+    draws consumed and the stopping rule are those of a point-by-point loop.
     """
-    arrivals = key.with_substream(key.substream_index).generator()
+    arrivals = key.generator()
     wiener = key.with_substream(key.substream_index + 1).generator()
     c_eps = float(sc.ndtri(1.0 - spec.epsilon / 2.0))
 
@@ -99,18 +102,23 @@ def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SampleP
         take = min(_POINT_CHUNK, spec.max_points - produced)
         expo = arrivals.standard_exponential(take)
         z = wiener.standard_normal((take, pts.size - 1))
-        for i in range(take):
-            gamma += expo[i]
-            x = -math.log(gamma)
-            if x + c_eps < floor:
-                return SamplePath(grid, best)
-            contribution = np.empty(pts.size)
-            contribution[0] = 0.0
-            np.cumsum(z[i] * sq_steps, out=contribution[1:])
-            contribution += x + drift
-            best = contribution if best is None else np.maximum(best, contribution)
-            floor = best.min()
-            produced += 1
+        gam = np.cumsum(np.concatenate(([gamma], expo)))[1:]
+        # not np.log: numpy's SIMD log differs from math.log in the last bit
+        x = -np.array(list(map(math.log, gam.tolist())))
+        paths = np.zeros((take, pts.size))
+        z *= sq_steps
+        np.cumsum(z, axis=1, out=paths[:, 1:])
+        paths += x[:, None] + drift
+        if best is not None:
+            paths[0] = np.maximum(best, paths[0])
+        np.maximum.accumulate(paths, axis=0, out=paths)
+        floors = paths.min(axis=1)
+        stops = np.flatnonzero(x + c_eps < np.concatenate(([floor], floors[:-1])))
+        if stops.size:
+            i = stops[0]
+            return SamplePath(grid, best if i == 0 else paths[i - 1])
+        gamma, best, floor = gam[-1], paths[-1], floors[-1]
+        produced += take
     raise TruncationError(
         f"stopping rule did not fire within {spec.max_points} points",
         SamplePath(grid, best),

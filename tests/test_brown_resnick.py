@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sc
 
 from besselbr.brown_resnick import (
     BRTruncationSpec,
@@ -14,8 +15,47 @@ from besselbr.brown_resnick import (
     sample_br_batch,
 )
 from besselbr.numerics import StreamKey
-from besselbr.paths import make_dyadic_grid
+from besselbr.paths import SamplePath, make_dyadic_grid
 from besselbr.stats import ks_statistic, two_sample_ks
+
+
+def _reference_sample_br(grid, spec, key):
+    """The point-by-point loop ``sample_br`` replaced, kept as an oracle.
+
+    Returns the path and the number of points it consumed.
+    """
+    arrivals = key.with_substream(key.substream_index).generator()
+    wiener = key.with_substream(key.substream_index + 1).generator()
+    c_eps = float(sc.ndtri(1.0 - spec.epsilon / 2.0))
+
+    pts = grid.points
+    drift = -pts / 2.0
+    sq_steps = np.sqrt(np.diff(pts))
+
+    best = None
+    floor = -np.inf
+    gamma = 0.0
+    produced = 0
+    while produced < spec.max_points:
+        take = min(64, spec.max_points - produced)
+        expo = arrivals.standard_exponential(take)
+        z = wiener.standard_normal((take, pts.size - 1))
+        for i in range(take):
+            gamma += expo[i]
+            x = -math.log(gamma)
+            if x + c_eps < floor:
+                return SamplePath(grid, best), produced
+            contribution = np.empty(pts.size)
+            contribution[0] = 0.0
+            np.cumsum(z[i] * sq_steps, out=contribution[1:])
+            contribution += x + drift
+            best = contribution if best is None else np.maximum(best, contribution)
+            floor = best.min()
+            produced += 1
+    raise TruncationError(
+        f"stopping rule did not fire within {spec.max_points} points",
+        SamplePath(grid, best),
+    )
 
 
 class TestGumbel:
@@ -175,11 +215,41 @@ class TestSampleBR:
         assert single.tobytes() == pooled.tobytes() == rows.tobytes()
 
     def test_point_budget_exhaustion(self):
+        # a chunk shorter than 64, one full chunk, and budgets crossing a chunk boundary
         grid = make_dyadic_grid(2)
-        with pytest.raises(TruncationError) as err:
-            sample_br(grid, BRTruncationSpec(epsilon=1e-12, max_points=3), StreamKey(6))
-        partial = err.value.partial
-        assert partial.values.shape == grid.points.shape
+        for max_points in (3, 64, 65, 130):
+            spec = BRTruncationSpec(epsilon=1e-12, max_points=max_points)
+            with pytest.raises(TruncationError) as err:
+                sample_br(grid, spec, StreamKey(6))
+            with pytest.raises(TruncationError) as ref:
+                _reference_sample_br(grid, spec, StreamKey(6))
+            partial = err.value.partial
+            assert partial.values.shape == grid.points.shape
+            assert partial.values.tobytes() == ref.value.partial.values.tobytes(), max_points
+
+    @staticmethod
+    def _consumed_matching_reference(grid, spec, keys):
+        consumed = []
+        for r in range(keys):
+            key = StreamKey(2042, replicate_index=r, substream_index=2 * r)
+            expected, points = _reference_sample_br(grid, spec, key)
+            assert sample_br(grid, spec, key).values.tobytes() == expected.values.tobytes(), r
+            consumed.append(points)
+        return consumed
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-4, 1e-6])
+    @pytest.mark.parametrize("k", [0, 2, 8])
+    def test_matches_point_by_point_reference(self, k, epsilon):
+        spec = BRTruncationSpec(epsilon=epsilon)
+        consumed = self._consumed_matching_reference(make_dyadic_grid(k), spec, 40)
+        assert max(consumed) > 64  # some path crosses a chunk boundary
+
+    @pytest.mark.parametrize("epsilon, keys", [(1e-4, 3000), (0.5, 1000)])
+    def test_matches_reference_on_many_two_point_paths(self, epsilon, keys):
+        # enough paths to meet last-bit differences in the levels X_k, and a loose
+        # budget under which a point stopped one late or early changes the values
+        spec = BRTruncationSpec(epsilon=epsilon)
+        self._consumed_matching_reference(make_dyadic_grid(0), spec, keys)
 
     def test_marginals_are_gumbel(self, br_batch_k4):
         grid, batch = br_batch_k4

@@ -1,9 +1,10 @@
 """The benchmark tracer hooks besselbr names from outside the package.
 
 ``perfbench/tracer.py`` finds ``SamplePath.__init__``, ``StreamKey.generator``,
-``parallel_map`` and the ``local_*_batch`` argument names by name, so renaming
-or deleting one of them silently empties its per-layer metric.  This test
-installs the tracer and checks that each hook still counts real calls.
+``parallel_map``, the ``local_*_batch`` argument names and module-level
+functions such as ``sample_br`` by name, so renaming or deleting one of them
+silently empties its per-layer metric.  This test installs the tracer and
+checks that each hook still counts real calls.
 """
 
 import importlib.util
@@ -30,10 +31,14 @@ def test_tracer_hooks_count_calls(tmp_path, capsys):
         assert run(["fdd-check", "--process", "bessel", "--n", "100", "--replicates", "200",
                     "--threshold", "1", "--threads", "2", "--seed", "2",
                     "--out", str(tmp_path / "fdd.json")]) == 0
+        assert run(["fdd-check", "--process", "br", "--times", "0,1", "--replicates", "200",
+                    "--threshold", "1", "--threads", "2", "--seed", "3",
+                    "--out", str(tmp_path / "fdd-br.json")]) == 0
     finally:
         tracer.uninstall()
     for name in ("paths.SamplePath", "numerics.generator", "numerics.parallel_map",
-                 "rescale.local_bessel_batch"):
+                 "rescale.local_bessel_batch", "brown_resnick.sample_br",
+                 "brown_resnick.sample_br_batch"):
         assert tracer.calls[name] > 0, name
     assert tracer.computed["rescale.rows"] > 0
     assert tracer.computed["rescale.normals_drawn"] > 0
