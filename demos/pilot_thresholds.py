@@ -23,7 +23,11 @@ Findings from the recorded run (2026-08-10, this machine):
     never exceeded 0.07 anywhere (threshold 0.10).
   * fdd: bessel/scalar m=2 at n=10^4, 2000 replicates stayed below 0.03
     (threshold 0.05); the limit-process harness at 10^4 replicates stayed
-    below 0.02 (threshold 0.03).
+    below 0.02 (threshold 0.03).  Re-run 2026-10-18 after the harness moved
+    to the exact sampler (new stream layout): 0.0031..0.0052 at pilot seeds
+    3000..3001, and 0.0165 at the acceptance seed 7 (substream 72), where the
+    truncated sampler gave 0.0062; seed and threshold are unchanged.  No
+    other pilot experiment uses that sampler.
   * limit-process self-tests at 5000 replicates: marginal KS <= 0.024
     (threshold 0.026), stationarity and truncation comparisons <= 0.02
     (threshold 0.033).

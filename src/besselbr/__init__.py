@@ -2,10 +2,10 @@
 
 A simulation and numerical-verification toolkit: exact-increment path
 simulation, the norming constants and locally rescaled processes whose maxima
-converge to the Brown-Resnick process, a truncation-controlled simulator of
-that limit, the closed-form tail asymptotics of the product laws involved,
-and the empirical machinery that turns the convergence statements into
-desk-scale statistical checks.
+converge to the Brown-Resnick process, a truncation-controlled and an exact
+simulator of that limit, the closed-form tail asymptotics of the product laws
+involved, and the empirical machinery that turns the convergence statements
+into desk-scale statistical checks.
 """
 
 __version__ = "0.1.0"
@@ -19,6 +19,7 @@ from .brown_resnick import (
     hr_lambda,
     sample_br,
     sample_br_batch,
+    sample_br_exact,
 )
 from .numerics import (
     DEFAULT_QUADRATURE,

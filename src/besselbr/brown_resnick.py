@@ -4,7 +4,8 @@ The process is M(t) = max_k (X_k + B_k(t) - t/2) over the points {X_k} of a
 Poisson process with intensity e^{-x} dx and independent standard Brownian
 motions B_k.  Its one-dimensional margins are standard Gumbel and its
 bivariate margins are Husler-Reiss with dependence parameter
-lambda = sqrt(|t - s|) / 2.
+lambda = sqrt(|t - s|) / 2.  ``sample_br`` truncates the Poisson series under
+an error budget; ``sample_br_exact`` draws the exact law at the grid points.
 """
 
 import math
@@ -22,13 +23,14 @@ __all__ = [
     "gumbel_cdf",
     "sample_br",
     "sample_br_batch",
+    "sample_br_exact",
     "hr_lambda",
     "hr_bivariate_cdf",
     "extremal_coefficient",
 ]
 
 _POINT_CHUNK = 64
-BR_CHUNK = 100  # replicates per canonical chunk of sample_br_batch
+BR_CHUNK = 100  # replicates per canonical chunk of sample_br_batch and sample_br_exact
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,61 @@ def sample_br_batch(
         return np.vstack([sample_br(grid, spec, key.with_replicate(r)).values for r in rows])
 
     return np.concatenate(parallel_map(chunk, -(-replicates // BR_CHUNK), threads))
+
+
+def sample_br_exact(grid: TimeGrid, key: StreamKey, replicates: int, threads: int = 1):
+    """Exact Brown-Resnick paths on ``grid`` by the extremal-functions algorithm.
+
+    Dombry, Engelke & Oesting, "Exact simulation of max-stable processes",
+    Biometrika 2016, Algorithm 2.  For each grid index j in turn, the levels
+    X = -ln(G) of a fresh unit-rate Poisson process are visited while
+    X > M(t_j).  Each level proposes the spectral function seen from t_j,
+    X + W(t) - W(t_j) - |t - t_j|/2 with W a standard Brownian motion, and the
+    proposal is kept only if it lies strictly below M at t_0..t_{j-1}, where
+    the functions that realise M there were already found; M then becomes
+    the pointwise maximum.  The law at the grid points is exact: no
+    truncation budget is involved.
+
+    Returns ``(paths, spectral)``: the ``(replicates, len(grid))`` matrix of
+    paths and, per row, the number of spectral functions simulated, whose
+    expectation is ``len(grid)`` (ibid., Proposition 4).  Rows run in fixed
+    chunks of ``BR_CHUNK``; chunk c draws everything from the one stream at
+    ``key.with_replicate(c)``, so the output is byte-stable under any thread
+    count.
+    """
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
+    pts = grid.points
+    sq_steps = np.sqrt(np.diff(pts))
+
+    def chunk(c):
+        rng = key.with_replicate(c).generator()
+        rows = min(replicates, (c + 1) * BR_CHUNK) - c * BR_CHUNK
+        best = np.full((rows, pts.size), -np.inf)
+        spectral = np.zeros(rows, dtype=np.int64)
+        for j, t in enumerate(pts):
+            drift = -np.abs(pts - t) / 2.0
+            gamma = np.zeros(rows)
+            active = np.arange(rows)
+            while active.size:
+                gamma[active] += rng.standard_exponential(active.size)
+                level = -np.log(gamma[active])
+                above = level > best[active, j]
+                active, level = active[above], level[above]
+                if not active.size:
+                    break
+                spectral[active] += 1
+                walk = np.zeros((active.size, pts.size))
+                np.cumsum(rng.standard_normal((active.size, pts.size - 1)) * sq_steps,
+                          axis=1, out=walk[:, 1:])
+                proposal = walk - walk[:, j, None] + level[:, None] + drift
+                kept = np.all(proposal[:, :j] < best[active, :j], axis=1)
+                rows_kept = active[kept]
+                best[rows_kept] = np.maximum(best[rows_kept], proposal[kept])
+        return best, spectral
+
+    paths, spectral = zip(*parallel_map(chunk, -(-replicates // BR_CHUNK), threads))
+    return np.concatenate(paths), np.concatenate(spectral)
 
 
 def hr_lambda(s, t) -> float:

@@ -213,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10000, help="copies per maximum (bessel/scalar only)")
     p.add_argument("--replicates", type=int, default=2000)
     p.add_argument(
-        "--epsilon", type=_finite_float, default=1e-4, help="truncation budget (br only)"
-    )
-    p.add_argument(
         "--threshold",
         type=_finite_float,
         default=None,
@@ -319,6 +316,7 @@ def _cmd_fdd_check(args):
     threshold = args.threshold
     if threshold is None:
         threshold = 0.03 if args.process == "br" else 0.05
+    diagnostics = {}
     diff = fdd_check(
         args.process,
         args.m,
@@ -326,11 +324,13 @@ def _cmd_fdd_check(args):
         args.n,
         args.replicates,
         StreamKey(args.seed),
-        br_spec=BRTruncationSpec(epsilon=args.epsilon),
         threads=args.threads,
+        diagnostics=diagnostics,
     )
     ok = diff <= threshold
-    return ok, [_result("fdd_sup_diff", diff, threshold=threshold, passed=ok)], {}
+    rows = [_result("fdd_sup_diff", diff, threshold=threshold, passed=ok)]
+    rows += [_result(name, value) for name, value in diagnostics.items()]
+    return ok, rows, {}
 
 
 def _cmd_br_sample(args):
@@ -407,10 +407,14 @@ _HANDLERS = {
 
 def _config_echo(args) -> dict:
     # `out` and `threads` are execution details, not part of the experiment;
-    # excluding them keeps reports byte-identical across paths and workers
+    # excluding them keeps reports byte-identical across paths and workers.
+    # The limit process of `fdd-check --process br` has no dimension or copy count.
+    skip = {"command", "emit_timings", "out", "threads"}
+    if args.command == "fdd-check" and args.process == "br":
+        skip |= {"m", "n"}
     config = {}
     for name, value in sorted(vars(args).items()):
-        if name in ("command", "emit_timings", "out", "threads"):
+        if name in skip:
             continue
         config[name] = value
     return config

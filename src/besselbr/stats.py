@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .brown_resnick import (
-    BRTruncationSpec,
-    gumbel_cdf,
-    hr_bivariate_cdf,
-    hr_lambda,
-    sample_br_batch,
-)
+from .brown_resnick import gumbel_cdf, hr_bivariate_cdf, hr_lambda, sample_br_exact
 from .numerics import StreamKey, parallel_map
 from .paths import TimeGrid, _check_dimension
 from .rescale import (
@@ -228,8 +222,8 @@ def fdd_check(
     replicates: int,
     key: StreamKey,
     *,
-    br_spec: BRTruncationSpec | None = None,
     threads: int = 1,
+    diagnostics: dict | None = None,
 ) -> float:
     """Two-time finite-dimensional check against the Husler-Reiss law.
 
@@ -237,8 +231,13 @@ def fdd_check(
     same at t) and returns the max over the grid {-1, 0, 1}^2 of the absolute
     difference between the empirical joint CDF and the Husler-Reiss CDF with
     parameter sqrt(|t-s|)/2.  ``process`` may also be "br", in which case the
-    pair comes from the limit process itself (``n`` is ignored) and the check
-    exercises the simulator rather than a prelimit family.
+    pair comes from the limit process itself, drawn exactly by
+    ``sample_br_exact`` on the grid {0, s, t, 1} (``m`` and ``n`` are
+    ignored), and the check exercises the simulator rather than a prelimit
+    family.  For "br", a ``diagnostics`` dict receives
+    ``br_spectral_functions_per_path``, the mean number of spectral functions
+    simulated per path, a pure function of the key whose expectation is the
+    number of grid points.
     """
     s, t = times
     if s == t:
@@ -251,8 +250,10 @@ def fdd_check(
 
     if process == "br":
         grid = TimeGrid(sorted({0.0, s, t, 1.0}))
-        paths = sample_br_batch(grid, br_spec or BRTruncationSpec(), key, replicates, threads)
+        paths, spectral = sample_br_exact(grid, key, replicates, threads)
         pairs = paths[:, [grid.index_of(s), grid.index_of(t)]]
+        if diagnostics is not None:
+            diagnostics["br_spectral_functions_per_path"] = float(spectral.mean())
     elif process in ("bessel", "scalar"):
         _check_dimension(m)
         if not n >= 2:

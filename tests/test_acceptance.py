@@ -223,13 +223,14 @@ def test_criterion_09_cli_reports_are_thread_invariant(tmp_path):
         "fdd-check": [
             "fdd-check", "--process", "bessel", "--m", "2", "--n", "500", "--replicates", "400",
         ],
+        "fdd-check-br": ["fdd-check", "--process", "br", "--times", "0,1", "--replicates", "1000"],
         "br-sample": ["br-sample", "--grid-k", "5"],
         "br-selftest": [
             "br-selftest", "--grid-k", "5", "--replicates", "300",
             "--marginal-threshold", "0.2", "--two-sample-threshold", "0.2",
         ],
     }
-    threaded = {"marginal-sweep", "fdd-check", "br-selftest"}
+    threaded = {"marginal-sweep", "fdd-check", "fdd-check-br", "br-selftest"}
     ok = True
     details = []
     for name, argv in commands.items():

@@ -13,10 +13,11 @@ from besselbr.brown_resnick import (
     hr_lambda,
     sample_br,
     sample_br_batch,
+    sample_br_exact,
 )
 from besselbr.numerics import StreamKey
-from besselbr.paths import SamplePath, make_dyadic_grid
-from besselbr.stats import ks_statistic, two_sample_ks
+from besselbr.paths import SamplePath, TimeGrid, make_dyadic_grid
+from besselbr.stats import bivariate_cdf_diff, ks_statistic, two_sample_ks
 
 
 def _reference_sample_br(grid, spec, key):
@@ -293,3 +294,57 @@ class TestSampleBR:
         loose = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-3), StreamKey(2030), 2000)[:, col]
         tight = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2031), 2000)[:, col]
         assert two_sample_ks(loose, tight) <= 0.052
+
+
+class TestSampleBRExact:
+    def test_same_key_same_bytes_and_thread_invariant(self):
+        # 250 replicates cross the fixed chunk boundaries
+        grid = make_dyadic_grid(2)
+        key = StreamKey(2050)
+        paths, spectral = sample_br_exact(grid, key, 250, threads=1)
+        again, again_spectral = sample_br_exact(grid, key, 250, threads=1)
+        pooled, pooled_spectral = sample_br_exact(grid, key, 250, threads=3)
+        assert paths.shape == (250, grid.points.size) and spectral.shape == (250,)
+        assert paths.tobytes() == again.tobytes() == pooled.tobytes()
+        assert spectral.tobytes() == again_spectral.tobytes() == pooled_spectral.tobytes()
+        assert np.all(np.isfinite(paths)) and spectral.min() >= 1
+
+    def test_rejects_empty_batch(self):
+        with pytest.raises(ValueError):
+            sample_br_exact(make_dyadic_grid(1), StreamKey(1), 0)
+
+    def test_marginals_are_gumbel(self):
+        grid = make_dyadic_grid(3)
+        paths, _ = sample_br_exact(grid, StreamKey(2051), 5000)
+        for j in range(grid.points.size):
+            assert ks_statistic(paths[:, j], gumbel_cdf) <= 0.026, j
+
+    def test_pairs_agree_with_hr_bivariate(self):
+        grid = TimeGrid([0.0, 0.25, 0.75, 1.0])
+        paths, _ = sample_br_exact(grid, StreamKey(2052), 5000)
+        levels = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
+        for a in range(4):
+            for b in range(a + 1, 4):
+                lam = hr_lambda(grid.points[a], grid.points[b])
+                diff = bivariate_cdf_diff(
+                    paths[:, [a, b]], lambda x, y: hr_bivariate_cdf(x, y, lam), levels
+                )
+                # the 5000-replicate bound of TestSampleBR::test_agrees_with_hr_bivariate
+                assert diff <= 0.04, (a, b)
+
+    def test_matches_truncated_sampler_in_law(self):
+        # the epsilon sampler at a tight budget is the oracle: every column, the
+        # path supremum and one increment must agree by two-sample KS
+        grid = make_dyadic_grid(3)
+        exact, _ = sample_br_exact(grid, StreamKey(2053), 5000)
+        oracle = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2054), 5000)
+        statistics = [two_sample_ks(exact[:, j], oracle[:, j]) for j in range(grid.points.size)]
+        statistics.append(two_sample_ks(exact.max(axis=1), oracle.max(axis=1)))
+        statistics.append(two_sample_ks(exact[:, 6] - exact[:, 2], oracle[:, 6] - oracle[:, 2]))
+        assert max(statistics) <= 0.033  # the two-sample gate of test_stationarity
+
+    @pytest.mark.parametrize("grid", [TimeGrid([0.0, 1.0]), make_dyadic_grid(3)], ids=["2pt", "k3"])
+    def test_spectral_functions_average_one_per_grid_point(self, grid):
+        _, spectral = sample_br_exact(grid, StreamKey(2055), 4000)
+        error = spectral.std() / math.sqrt(spectral.size)
+        assert abs(spectral.mean() - grid.points.size) <= 5.0 * error

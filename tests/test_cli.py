@@ -209,6 +209,22 @@ class TestConfigEcho:
         again = json.loads((tmp_path / "again.json").read_bytes())
         assert again["results"] == report["results"]
 
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            ("fdd-check --process br --times 0.25,1 --replicates 300", {"epsilon", "m", "n"}),
+            ("fdd-check --process bessel --m 2 --n 200 --replicates 100", {"epsilon"}),
+        ],
+    )
+    def test_fdd_check_round_trip(self, tmp_path, argv, absent):
+        argv = argv.split() + ["--threshold", "1", "--seed", "78"]
+        _, raw = run_to_file(tmp_path, "orig.json", argv)
+        report = json.loads(raw)
+        assert absent.isdisjoint(report["config"])
+        rebuilt = argv_from_config(report["command"], report["config"])
+        _, again = run_to_file(tmp_path, "again.json", rebuilt)
+        assert again == raw
+
 
 class TestBRSampleCommand:
     def test_writes_path(self, tmp_path):

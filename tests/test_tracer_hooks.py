@@ -34,11 +34,14 @@ def test_tracer_hooks_count_calls(tmp_path, capsys):
         assert run(["fdd-check", "--process", "br", "--times", "0,1", "--replicates", "200",
                     "--threshold", "1", "--threads", "2", "--seed", "3",
                     "--out", str(tmp_path / "fdd-br.json")]) == 0
+        assert run(["br-selftest", "--grid-k", "2", "--replicates", "20",
+                    "--marginal-threshold", "1", "--two-sample-threshold", "1", "--seed", "4",
+                    "--out", str(tmp_path / "selftest.json")]) == 0
     finally:
         tracer.uninstall()
     for name in ("paths.SamplePath", "numerics.generator", "numerics.parallel_map",
                  "rescale.local_bessel_batch", "brown_resnick.sample_br",
-                 "brown_resnick.sample_br_batch"):
+                 "brown_resnick.sample_br_batch", "brown_resnick.sample_br_exact"):
         assert tracer.calls[name] > 0, name
     assert tracer.computed["rescale.rows"] > 0
     assert tracer.computed["rescale.normals_drawn"] > 0
