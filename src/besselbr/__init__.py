@@ -2,10 +2,11 @@
 
 A simulation and numerical-verification toolkit: exact-increment path
 simulation, the norming constants and locally rescaled processes whose maxima
-converge to the Brown-Resnick process, a truncation-controlled and an exact
-simulator of that limit, the closed-form tail asymptotics of the product laws
-involved, and the empirical machinery that turns the convergence statements
-into desk-scale statistical checks.
+converge to the Brown-Resnick process, a sampler of those maxima that
+simulates only the copies that can reach them, a truncation-controlled and
+an exact simulator of that limit, the closed-form tail asymptotics of the
+product laws involved, and the empirical machinery that turns the
+convergence statements into desk-scale statistical checks.
 """
 
 __version__ = "0.1.0"
@@ -43,6 +44,7 @@ from .rescale import (
     local_bessel_split_batch,
     local_scalar_batch,
     normal_constants,
+    pair_maxima,
     scalar_constants,
 )
 from .stats import (

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special as sc
 
 from .numerics import StreamKey, parallel_map
-from .paths import SamplePath, TimeGrid
+from .paths import SamplePath, TimeGrid, _checked_times
 
 __all__ = [
     "BRTruncationSpec",
@@ -150,8 +150,8 @@ def sample_br_batch(
     return np.concatenate(parallel_map(chunk, -(-replicates // BR_CHUNK), threads))
 
 
-def sample_br_exact(grid: TimeGrid, key: StreamKey, replicates: int, threads: int = 1):
-    """Exact Brown-Resnick paths on ``grid`` by the extremal-functions algorithm.
+def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
+    """Exact Brown-Resnick paths at ``times`` by the extremal-functions algorithm.
 
     Dombry, Engelke & Oesting, "Exact simulation of max-stable processes",
     Biometrika 2016, Algorithm 2.  For each grid index j in turn, the levels
@@ -160,19 +160,22 @@ def sample_br_exact(grid: TimeGrid, key: StreamKey, replicates: int, threads: in
     X + W(t) - W(t_j) - |t - t_j|/2 with W a standard Brownian motion, and the
     proposal is kept only if it lies strictly below M at t_0..t_{j-1}, where
     the functions that realise M there were already found; M then becomes
-    the pointwise maximum.  The law at the grid points is exact: no
+    the pointwise maximum.  ``times`` are strictly increasing points of
+    [0, 1]; neither endpoint is needed.  The law at ``times`` is exact: no
     truncation budget is involved.
 
-    Returns ``(paths, spectral)``: the ``(replicates, len(grid))`` matrix of
+    Returns ``(paths, spectral)``: the ``(replicates, len(times))`` matrix of
     paths and, per row, the number of spectral functions simulated, whose
-    expectation is ``len(grid)`` (ibid., Proposition 4).  Rows run in fixed
+    expectation is ``len(times)`` (ibid., Proposition 4).  Rows run in fixed
     chunks of ``BR_CHUNK``; chunk c draws everything from the one stream at
     ``key.with_replicate(c)``, so the output is byte-stable under any thread
     count.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    pts = grid.points
+    pts = _checked_times(times)
+    if pts[-1] > 1.0:
+        raise ValueError("times must lie in [0, 1]")
     sq_steps = np.sqrt(np.diff(pts))
 
     def chunk(c):

@@ -34,6 +34,7 @@ __all__ = [
     "local_bessel_batch",
     "local_bessel_split_batch",
     "local_scalar_batch",
+    "pair_maxima",
 ]
 
 _LN2 = math.log(2.0)
@@ -148,10 +149,15 @@ def local_bessel_split_batch(ts, n, m: int, key: StreamKey, count: int) -> np.nd
     ts = _checked_times(ts)
     rng = key.generator()
     b1 = rng.standard_normal((count, m))
-    bstar = _brownian(ts, rng, (count, m))
-    x = (np.einsum("ij,ij->i", b1, b1) - consts.b) / 2.0
-    r = np.einsum("ij,ijk->ik", b1, bstar) / math.sqrt(consts.b)
-    delta = np.einsum("ijk,ijk->ik", bstar, bstar) / (2.0 * consts.b)
+    return _split_rescaled(b1, _brownian(ts, rng, (count, m)), consts.b, ts)
+
+
+def _split_rescaled(b1, bstar, c, ts):
+    # (|b1 + bstar/sqrt(c)|^2 - c - ts) / 2 for b1 (rows, m) at time 1 and
+    # bstar (rows, m, times) in the local clock, as X + R(t) - t/2 + delta(t)
+    x = (np.einsum("ij,ij->i", b1, b1) - c) / 2.0
+    r = np.einsum("ij,ijk->ik", b1, bstar) / math.sqrt(c)
+    delta = np.einsum("ijk,ijk->ik", bstar, bstar) / (2.0 * c)
     return x[:, None] + r - ts / 2.0 + delta
 
 
@@ -164,3 +170,117 @@ def local_scalar_batch(ts, n, m: int, key: StreamKey, count: int) -> np.ndarray:
     consts = scalar_constants(n, m)
     phys = 1.0 + _checked_times(ts) / (2.0 * consts.b)
     return scalar_product_batch(phys, m, key, count) - consts.b * phys
+
+
+PAIR_EPSILON = 1e-3  # bound on the expected number of discarded copies that could move a row
+_FIRST_BLOCK = 64  # copies per active row in pair_maxima's first lockstep block; then doubling
+
+
+def pair_maxima(process: str, ts, n, m: int, key: StreamKey, count: int):
+    """``count`` rows of the maximum over n rescaled copies at the clock times ``ts``.
+
+    The law is that of ``local_bessel_batch`` / ``local_scalar_batch`` rows
+    maximised over n copies, but only the copies that can reach the maximum
+    are simulated, so the cost does not grow with n.  Each copy is ordered
+    by one chi-square(m) variable Q: Q = |B(1)|^2 for "bessel", and
+    Q = |U(1)|^2 with U = (B + B~)/sqrt(2) for "scalar", where D = (B - B~)/sqrt(2)
+    is independent of U and <B, B~> = (|U|^2 - |D|^2)/2.  With c = b (bessel)
+    or 2b (scalar) and W, W~ standard Brownian motions in the local clock, a
+    copy at level Q is, by rotation invariance,
+
+        Y(t) = (|sqrt(Q) e_1 + W(t)/sqrt(c)|^2 - c - t)/2          (bessel)
+        Y(t) = the same  -  |g + W~(t)/sqrt(c)|^2 / 2,  g ~ N(0, I_m)  (scalar)
+
+    evaluated with the arithmetic of ``local_bessel_split_batch``; the
+    subtracted D term is |D(1 + t/c)|^2 / 2.  The
+    levels are the top order statistics of n chi-square(m) draws, exact in
+    log space: log F(Q_{k+1}) = log F(Q_k) + log(U)/(n - k), then
+    Q = 2 gammainccinv(m/2, 1 - F(Q)).
+
+    Stopping: in both families Y(t) <= ((sqrt(Q) + |W(t)|/sqrt(c))^2 - c - t)/2,
+    since the scalar family's D term only lowers Y, so with M_t the running
+    maximum at time t, a copy at level Q can exceed it only if
+    |W(t)| > rho_t = sqrt(c) (sqrt(2 M_t + c + t) - sqrt(Q)); at t = 0 it
+    cannot once rho_0 > 0.  Its risk is therefore at most p = sum over
+    positive t of P(chi2_m > rho_t^2 / t).  The later copies sit at lower
+    levels, and for them the gaps grow: with rho the smallest rho_t over
+    positive t, eta = (1 - (m-2)^+/rho^2)/2 a lower bound of the
+    chi-square(m) hazard beyond rho^2, the chi(m) density bound
+    f(z) <= z V (1 + (2-m)^+/Q) e^{(z_k - z) z_k} and the n - k later
+    levels i.i.d. below Q_k, the expected number of all discarded copies
+    that could change the row is at most
+
+        p (1 + (n - k) V z (1 + (2-m)^+/Q) / ((1 - V)(2 eta rho sqrt(c) - z))),
+
+    with z = sqrt(Q) and V = P(chi2_m > Q) at the first discarded copy k.
+    A row stops at the first copy where this bound is at most
+    ``PAIR_EPSILON`` = 1e-3, so each discarded copy has risk at most p <= 1e-3,
+    and the risk summed over a row's discarded copies is at most 1e-3.  A
+    row this affects moves an empirical CDF by at most 1/count, so the
+    expected shift is at most 1e-3.  Copies never go past k = n.
+
+    Copies run in decreasing level, in lockstep blocks over the rows still
+    active (64, then doubling), all drawn from the one stream at ``key``; the
+    rest of a block after a row's stop is drawn and dropped.  Returns
+    ``(maxima, copies)``: the ``(count, len(ts))`` maxima and, per row, the
+    number of copies that entered them, which is n where the stop never
+    fires.
+    """
+    if process not in ("bessel", "scalar"):
+        raise ValueError(f"process must be bessel or scalar, got {process!r}")
+    ts = _checked_times(ts)
+    if not 0.0 < ts[-1] <= 1.0:
+        raise ValueError("pair_maxima needs times in [0, 1] with a positive last time")
+    n = int(n)
+    b = (bessel_constants if process == "bessel" else scalar_constants)(n, m).b
+    if not b > 0.0:
+        raise ValueError(f"the local clock needs a positive centering constant, got b = {b}")
+    c = b if process == "bessel" else 2.0 * b
+    rng = key.generator()
+
+    best = np.full((count, ts.size), -np.inf)
+    copies = np.zeros(count, dtype=np.int64)
+    log_cdf = np.zeros(count)
+    active = np.arange(count)
+    done, block = 0, _FIRST_BLOCK
+    while active.size and done < n:
+        rows, take = active.size, min(block, n - done)
+        k = np.arange(done, done + take)
+        steps = np.log1p(-rng.random((rows, take))) / (n - k)
+        ell = log_cdf[active, None] + np.cumsum(steps, axis=1)
+        surv = -np.expm1(ell)
+        level = 2.0 * sc.gammainccinv(m / 2.0, surv)
+        b1 = np.zeros((rows * take, m))
+        b1[:, 0] = np.sqrt(level).ravel()
+        values = _split_rescaled(b1, _brownian(ts, rng, (rows * take, m)), c, ts)
+        if process == "scalar":
+            g = rng.standard_normal((rows * take, m, 1))
+            d = g + _brownian(ts, rng, (rows * take, m)) / math.sqrt(c)
+            values -= np.einsum("ijk,ijk->ik", d, d) / 2.0
+        run = np.concatenate((best[active, None], values.reshape(rows, take, ts.size)), axis=1)
+        np.maximum.accumulate(run, axis=1, out=run)
+        stop = _discard_risk(level, surv, run[:, :-1], n - k - 1, c, m, ts) <= PAIR_EPSILON
+        first = np.where(stop.any(axis=1), stop.argmax(axis=1), take)
+        best[active] = run[np.arange(rows), first]
+        copies[active] = done + first
+        log_cdf[active] = ell[:, -1]
+        active = active[first == take]
+        done += take
+        block *= 2
+    return best, copies
+
+
+def _discard_risk(q, surv, running, rest, c, m, ts):
+    # pair_maxima's bound on the expected number of copies from this one on
+    # that could exceed a ``running`` maximum; inf where it does not apply
+    positive = ts > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.sqrt(q)
+        rho_t = math.sqrt(c) * (np.sqrt(2.0 * running + c + ts) - z[..., None])
+        p = sc.gammaincc(m / 2.0, rho_t[..., positive] ** 2 / (2.0 * ts[positive])).sum(axis=-1)
+        rho = rho_t[..., positive].min(axis=-1)
+        eta = (1.0 - max(m - 2, 0) / rho**2) / 2.0
+        spread = 2.0 * eta * rho * math.sqrt(c) - z
+        tail = rest * surv * z * (1.0 + max(2 - m, 0) / q) / ((1.0 - surv) * spread)
+        bound = p * (1.0 + tail)
+    return np.where(np.all(rho_t > 0.0, axis=-1) & (eta > 0.0) & (spread > 0.0), bound, np.inf)

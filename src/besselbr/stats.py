@@ -24,14 +24,8 @@ from scipy import special as sc
 
 from .brown_resnick import gumbel_cdf, hr_bivariate_cdf, hr_lambda, sample_br_exact
 from .numerics import StreamKey, parallel_map
-from .paths import TimeGrid, _check_dimension
-from .rescale import (
-    bessel_constants,
-    local_bessel_batch,
-    local_scalar_batch,
-    normal_constants,
-    scalar_constants,
-)
+from .paths import _check_dimension
+from .rescale import bessel_constants, normal_constants, pair_maxima, scalar_constants
 
 __all__ = [
     "SweepReport",
@@ -197,21 +191,16 @@ def marginal_gumbel_sweep(
     return SweepReport(ns, [ks_statistic(row, gumbel_cdf) for row in samples])
 
 
-def _local_pair_maxima(process, m, s, t, n, key, replicates, threads):
-    ts = np.array(sorted((s, t)))
-    batch = local_bessel_batch if process == "bessel" else local_scalar_batch
+def _local_pair_maxima(process, m, ts, n, key, replicates, threads):
     n_chunks = -(-replicates // FDD_CHUNK)
 
     def worker(c):
         lo = c * FDD_CHUNK
         count = min(replicates, lo + FDD_CHUNK) - lo
-        rows = batch(ts, n, m, key.with_replicate(c), count * n)
-        return rows.reshape(count, n, 2).max(axis=1)
+        return pair_maxima(process, ts, n, m, key.with_replicate(c), count)
 
-    pairs = np.concatenate(parallel_map(worker, n_chunks, threads), axis=0)
-    if s > t:
-        pairs = pairs[:, ::-1]
-    return pairs
+    pairs, copies = zip(*parallel_map(worker, n_chunks, threads))
+    return np.concatenate(pairs), np.concatenate(copies)
 
 
 def fdd_check(
@@ -230,14 +219,17 @@ def fdd_check(
     Simulates ``replicates`` copies of (max over n rescaled processes at s,
     same at t) and returns the max over the grid {-1, 0, 1}^2 of the absolute
     difference between the empirical joint CDF and the Husler-Reiss CDF with
-    parameter sqrt(|t-s|)/2.  ``process`` may also be "br", in which case the
-    pair comes from the limit process itself, drawn exactly by
-    ``sample_br_exact`` on the grid {0, s, t, 1} (``m`` and ``n`` are
+    parameter sqrt(|t-s|)/2.  For "bessel" and "scalar" the maxima come from
+    ``rescale.pair_maxima``, which simulates only the copies that can reach
+    them, so the cost does not grow with ``n``.  ``process`` may also be "br",
+    in which case the pair comes from the limit process itself, drawn
+    exactly by ``sample_br_exact`` at the two times (``m`` and ``n`` are
     ignored), and the check exercises the simulator rather than a prelimit
-    family.  For "br", a ``diagnostics`` dict receives
-    ``br_spectral_functions_per_path``, the mean number of spectral functions
-    simulated per path, a pure function of the key whose expectation is the
-    number of grid points.
+    family.  A ``diagnostics`` dict, when passed, receives one pure function
+    of the key: ``copies_per_replicate``, the mean number of copies
+    simulated per maximum, or for "br" ``br_spectral_functions_per_path``,
+    the mean number of spectral functions simulated per path, whose
+    expectation is 2.
     """
     s, t = times
     if s == t:
@@ -248,19 +240,22 @@ def fdd_check(
     if replicates < 1:
         raise ValueError("replicates must be positive")
 
+    ts = np.array(sorted((s, t)))
     if process == "br":
-        grid = TimeGrid(sorted({0.0, s, t, 1.0}))
-        paths, spectral = sample_br_exact(grid, key, replicates, threads)
-        pairs = paths[:, [grid.index_of(s), grid.index_of(t)]]
-        if diagnostics is not None:
-            diagnostics["br_spectral_functions_per_path"] = float(spectral.mean())
+        pairs, spectral = sample_br_exact(ts, key, replicates, threads)
+        found = {"br_spectral_functions_per_path": float(spectral.mean())}
     elif process in ("bessel", "scalar"):
         _check_dimension(m)
         if not n >= 2:
             raise ValueError(f"sample count n must be at least 2, got {n}")
-        pairs = _local_pair_maxima(process, m, s, t, int(n), key, replicates, threads)
+        pairs, copies = _local_pair_maxima(process, m, ts, int(n), key, replicates, threads)
+        found = {"copies_per_replicate": float(copies.mean())}
     else:
         raise ValueError(f"process must be bessel, scalar or br, got {process!r}")
+    if s > t:
+        pairs = pairs[:, ::-1]
+    if diagnostics is not None:
+        diagnostics.update(found)
 
     lam = hr_lambda(s, t)
     grid = [(x, y) for x in _FDD_LEVELS for y in _FDD_LEVELS]

@@ -301,9 +301,9 @@ class TestSampleBRExact:
         # 250 replicates cross the fixed chunk boundaries
         grid = make_dyadic_grid(2)
         key = StreamKey(2050)
-        paths, spectral = sample_br_exact(grid, key, 250, threads=1)
-        again, again_spectral = sample_br_exact(grid, key, 250, threads=1)
-        pooled, pooled_spectral = sample_br_exact(grid, key, 250, threads=3)
+        paths, spectral = sample_br_exact(grid.points, key, 250, threads=1)
+        again, again_spectral = sample_br_exact(grid.points, key, 250, threads=1)
+        pooled, pooled_spectral = sample_br_exact(grid.points, key, 250, threads=3)
         assert paths.shape == (250, grid.points.size) and spectral.shape == (250,)
         assert paths.tobytes() == again.tobytes() == pooled.tobytes()
         assert spectral.tobytes() == again_spectral.tobytes() == pooled_spectral.tobytes()
@@ -311,17 +311,17 @@ class TestSampleBRExact:
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
-            sample_br_exact(make_dyadic_grid(1), StreamKey(1), 0)
+            sample_br_exact(make_dyadic_grid(1).points, StreamKey(1), 0)
 
     def test_marginals_are_gumbel(self):
         grid = make_dyadic_grid(3)
-        paths, _ = sample_br_exact(grid, StreamKey(2051), 5000)
+        paths, _ = sample_br_exact(grid.points, StreamKey(2051), 5000)
         for j in range(grid.points.size):
             assert ks_statistic(paths[:, j], gumbel_cdf) <= 0.026, j
 
     def test_pairs_agree_with_hr_bivariate(self):
         grid = TimeGrid([0.0, 0.25, 0.75, 1.0])
-        paths, _ = sample_br_exact(grid, StreamKey(2052), 5000)
+        paths, _ = sample_br_exact(grid.points, StreamKey(2052), 5000)
         levels = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
         for a in range(4):
             for b in range(a + 1, 4):
@@ -336,15 +336,25 @@ class TestSampleBRExact:
         # the epsilon sampler at a tight budget is the oracle: every column, the
         # path supremum and one increment must agree by two-sample KS
         grid = make_dyadic_grid(3)
-        exact, _ = sample_br_exact(grid, StreamKey(2053), 5000)
+        exact, _ = sample_br_exact(grid.points, StreamKey(2053), 5000)
         oracle = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2054), 5000)
         statistics = [two_sample_ks(exact[:, j], oracle[:, j]) for j in range(grid.points.size)]
         statistics.append(two_sample_ks(exact.max(axis=1), oracle.max(axis=1)))
         statistics.append(two_sample_ks(exact[:, 6] - exact[:, 2], oracle[:, 6] - oracle[:, 2]))
         assert max(statistics) <= 0.033  # the two-sample gate of test_stationarity
 
-    @pytest.mark.parametrize("grid", [TimeGrid([0.0, 1.0]), make_dyadic_grid(3)], ids=["2pt", "k3"])
-    def test_spectral_functions_average_one_per_grid_point(self, grid):
-        _, spectral = sample_br_exact(grid, StreamKey(2055), 4000)
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, 1.0], make_dyadic_grid(3).points, [0.25, 0.75]],
+        ids=["2pt", "k3", "interior"],
+    )
+    def test_spectral_functions_average_one_per_grid_point(self, times):
+        # no endpoint padding: two interior times cost about two functions
+        _, spectral = sample_br_exact(times, StreamKey(2055), 4000)
         error = spectral.std() / math.sqrt(spectral.size)
-        assert abs(spectral.mean() - grid.points.size) <= 5.0 * error
+        assert abs(spectral.mean() - len(times)) <= 5.0 * error
+
+    def test_rejects_times_outside_unit_interval(self):
+        for times in ([0.5, 1.5], [0.5, 0.25], [-0.5, 0.5]):
+            with pytest.raises(ValueError):
+                sample_br_exact(times, StreamKey(1), 10)

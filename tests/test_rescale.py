@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy import special as sc
 
 from besselbr.numerics import StreamKey
 from besselbr.paths import make_dyadic_grid, scalar_product_batch, squared_bessel_batch
 from besselbr.rescale import (
+    _discard_risk,
     bessel_constants,
     generic_constants,
     local_bessel_batch,
     local_bessel_split_batch,
     local_scalar_batch,
     normal_constants,
+    pair_maxima,
     scalar_constants,
 )
 from besselbr.stats import ks_statistic, two_sample_ks
@@ -212,3 +216,107 @@ class TestDecompositionIdentity:
         for j in range(2):
             ks = two_sample_ks(direct[:, j], split[:, j])
             assert ks <= 0.014
+
+
+def brute_pair_maxima(process, ts, n, m, key, count, chunk=500):
+    # the oracle: maxima over all n copies of the direct rescaled batches
+    batch = local_bessel_batch if process == "bessel" else local_scalar_batch
+    blocks = []
+    for c in range(-(-count // chunk)):
+        rows = min(count, (c + 1) * chunk) - c * chunk
+        values = batch(ts, n, m, key.with_replicate(c), rows * n)
+        blocks.append(values.reshape(rows, n, ts.size).max(axis=1))
+    return np.concatenate(blocks)
+
+
+def law_distances(fast, brute):
+    # two-sample KS on both columns, the pair maximum and the pair minimum
+    columns = [two_sample_ks(fast[:, j], brute[:, j]) for j in range(fast.shape[1])]
+    return columns + [
+        two_sample_ks(fast.max(axis=1), brute.max(axis=1)),
+        two_sample_ks(fast.min(axis=1), brute.min(axis=1)),
+    ]
+
+
+def discarded_copies_risk(q, surv, running, rest, c, m, ts):
+    # the quantity pair_maxima's stop bounds, by quadrature: the union bound
+    # P(|W(t)| > rho_t) of the first discarded copy plus that of the ``rest``
+    # later copies, whose levels are i.i.d. chi-square(m) below q
+    def risk(x):
+        rho = math.sqrt(c) * (np.sqrt(2.0 * running + c + ts) - math.sqrt(x))
+        return float(sc.gammaincc(m / 2.0, rho**2 / (2.0 * ts)).sum())
+
+    def density(x):
+        log_density = (m / 2 - 1) * math.log(x) - x / 2 - (m / 2) * math.log(2) - sc.gammaln(m / 2)
+        return math.exp(log_density)
+
+    below = integrate.quad(lambda x: risk(x) * density(x), 0.0, q, limit=200, points=[0.9 * q])[0]
+    return risk(q) + rest / (1.0 - surv) * below
+
+
+class TestPairMaxima:
+    # 0.033 is the repository's 5,000-row two-sample gate
+    @pytest.mark.parametrize("ts", [(0.0, 1.0), (0.25, 0.75)], ids=["0-1", "interior"])
+    @pytest.mark.parametrize(
+        "process,m", [("bessel", 2), ("bessel", 3), ("scalar", 2), ("scalar", 3)]
+    )
+    def test_matches_brute_force_in_law(self, process, m, ts):
+        ts = np.array(ts)
+        fast, copies = pair_maxima(process, ts, 1000, m, StreamKey(4100), 5000)
+        brute = brute_pair_maxima(process, ts, 1000, m, StreamKey(4101), 5000)
+        assert max(law_distances(fast, brute)) <= 0.033
+        assert copies.mean() < 250  # the stop fires well before n
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_small_n_keeps_the_law_and_never_passes_n(self, n):
+        ts = np.array([0.0, 1.0])
+        fast, copies = pair_maxima("bessel", ts, n, 2, StreamKey(4200), 5000)
+        assert copies.min() >= 1 and copies.max() == n
+        brute = brute_pair_maxima("bessel", ts, n, 2, StreamKey(4201), 5000)
+        assert max(law_distances(fast, brute)) <= 0.033
+
+    def test_time_zero_column_is_exact_for_bessel(self):
+        # the first copy has the top level, so max_k (S_k - b)/2 is drawn exactly
+        n, m = 10**4, 3
+        fast, _ = pair_maxima("bessel", np.array([0.0, 1.0]), n, m, StreamKey(4300), 5000)
+        b = bessel_constants(n, m).b
+        cdf = lambda x: np.exp(n * np.log1p(-sc.gammaincc(m / 2.0, (2.0 * x + b) / 2.0)))
+        assert ks_statistic(fast[:, 0], cdf) <= 0.026
+
+    def test_time_zero_column_is_laplace_maximum_for_scalar(self):
+        n = 10**4
+        fast, _ = pair_maxima("scalar", np.array([0.0, 1.0]), n, 2, StreamKey(4301), 5000)
+        b = scalar_constants(n, 2).b
+        cdf = lambda x: np.exp(n * np.log1p(-0.5 * np.exp(-(x + b))))
+        assert ks_statistic(fast[:, 0], cdf) <= 0.026
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stop_bound_covers_the_discarded_copies(self, m):
+        c = bessel_constants(10**4, m).b
+        layouts = (([1.0], [0.0]), ([0.25, 0.75], [0.0, 0.0]), ([0.25, 0.75], [0.8, 0.0]))
+        for floor in (-1.0, 1.5):
+            for ts, above in layouts:
+                ts, running = np.array(ts), floor + np.array(above)
+                for gap in (3.0, 4.0):
+                    q = 2.0 * (floor - gap) + c
+                    surv = float(sc.gammaincc(m / 2.0, q / 2.0))
+                    args = (q, surv, running, 10**4 - 40, c, m, ts)
+                    bound = float(_discard_risk(np.asarray(q), np.asarray(surv), *args[2:]))
+                    assert discarded_copies_risk(*args) <= bound < np.inf, (floor, above, gap)
+
+    def test_same_key_same_bytes(self):
+        ts = np.array([0.25, 0.75])
+        a = pair_maxima("scalar", ts, 10**4, 3, StreamKey(4400, 2), 150)
+        b = pair_maxima("scalar", ts, 10**4, 3, StreamKey(4400, 2), 150)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    def test_validation(self):
+        ts = np.array([0.0, 1.0])
+        with pytest.raises(ValueError):
+            pair_maxima("bm", ts, 100, 2, StreamKey(1), 10)
+        with pytest.raises(ValueError):
+            pair_maxima("bessel", np.array([0.5, 1.5]), 100, 2, StreamKey(1), 10)
+        with pytest.raises(ValueError):
+            pair_maxima("bessel", np.array([0.0]), 100, 2, StreamKey(1), 10)
+        with pytest.raises(ValueError):  # b = 0: the local clock 1 + t/(2b) is undefined
+            pair_maxima("scalar", ts, 2, 2, StreamKey(1), 10)

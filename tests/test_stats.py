@@ -7,6 +7,7 @@ from besselbr.brown_resnick import gumbel_cdf, hr_bivariate_cdf, hr_lambda
 from besselbr.numerics import StreamKey
 from besselbr.stats import (
     SweepReport,
+    _local_pair_maxima,
     bivariate_cdf_diff,
     fdd_check,
     ks_statistic,
@@ -192,6 +193,29 @@ class TestFddCheck:
         a = fdd_check("bessel", 2, (0.0, 1.0), 500, 400, StreamKey(28))
         b = fdd_check("bessel", 2, (1.0, 0.0), 500, 400, StreamKey(28))
         assert a == b
+
+    def test_pair_maxima_bytes_do_not_depend_on_threads(self):
+        # 250 replicates cross the fixed chunk boundaries
+        ts = np.array([0.0, 1.0])
+        pairs, copies = _local_pair_maxima("bessel", 2, ts, 10**4, StreamKey(30), 250, 1)
+        pooled, pooled_copies = _local_pair_maxima("bessel", 2, ts, 10**4, StreamKey(30), 250, 4)
+        assert pairs.tobytes() == pooled.tobytes() and copies.tobytes() == pooled_copies.tobytes()
+
+    def test_reports_copies_per_replicate(self):
+        found = {}
+        fdd_check("scalar", 2, (0.25, 0.75), 10**4, 300, StreamKey(31), diagnostics=found)
+        assert list(found) == ["copies_per_replicate"]
+        assert 1.0 <= found["copies_per_replicate"] < 10**4
+
+    @pytest.mark.parametrize("process,m", [("bessel", 2), ("scalar", 3)])
+    def test_cost_does_not_grow_with_n(self, process, m):
+        copies = {}
+        for n in (10**4, 10**8):
+            found = {}
+            value = fdd_check(process, m, (0.0, 1.0), n, 200, StreamKey(32), diagnostics=found)
+            assert 0.0 <= value <= 1.0
+            copies[n] = found["copies_per_replicate"]
+        assert copies[10**8] <= 2.0 * copies[10**4]
 
     def test_model_agrees_with_hr_at_levels(self):
         # coarse functional check that the harness uses the intended model

@@ -10,7 +10,11 @@ checks that each hook still counts real calls.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from besselbr import rescale
 from besselbr.cli import run
+from besselbr.numerics import StreamKey
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -31,6 +35,9 @@ def test_tracer_hooks_count_calls(tmp_path, capsys):
         assert run(["fdd-check", "--process", "bessel", "--n", "100", "--replicates", "200",
                     "--threshold", "1", "--threads", "2", "--seed", "2",
                     "--out", str(tmp_path / "fdd.json")]) == 0
+        # fdd-check no longer reaches the brute-force batches; call one through
+        # the patched module so its computed work counts stay covered
+        rescale.local_bessel_batch(np.array([0.0, 1.0]), 100, 2, StreamKey(5), 50)
         assert run(["fdd-check", "--process", "br", "--times", "0,1", "--replicates", "200",
                     "--threshold", "1", "--threads", "2", "--seed", "3",
                     "--out", str(tmp_path / "fdd-br.json")]) == 0
@@ -40,7 +47,7 @@ def test_tracer_hooks_count_calls(tmp_path, capsys):
     finally:
         tracer.uninstall()
     for name in ("paths.SamplePath", "numerics.generator", "numerics.parallel_map",
-                 "rescale.local_bessel_batch", "brown_resnick.sample_br",
+                 "rescale.local_bessel_batch", "rescale.pair_maxima", "brown_resnick.sample_br",
                  "brown_resnick.sample_br_batch", "brown_resnick.sample_br_exact"):
         assert tracer.calls[name] > 0, name
     assert tracer.computed["rescale.rows"] > 0
