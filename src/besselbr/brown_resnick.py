@@ -29,7 +29,9 @@ __all__ = [
     "extremal_coefficient",
 ]
 
-_POINT_CHUNK = 64
+_LEVEL_BLOCK = 64  # exponentials drawn per refill of sample_br's level buffer
+_FIRST_ROWS = 32  # Wiener rows sample_br draws before its running maximum has a floor
+_MAX_ROWS = 128  # cap on the Wiener rows of any later block
 BR_CHUNK = 100  # replicates per canonical chunk of sample_br_batch and sample_br_exact
 
 
@@ -67,6 +69,30 @@ def gumbel_cdf(x):
     return out.reshape(x.shape) if x.ndim else float(out[0])
 
 
+def _first_stop(x, paths, c_eps):
+    """First row i >= 1 of a block at which the stop fires, or ``x.size`` if none.
+
+    Row 0 of ``paths`` already holds the running maximum, and the caller has
+    ruled out a stop at row 0.  Row i stops when ``x[i] + c_eps`` lies below
+    the grid minimum of the maximum of rows 0..i-1.  That predicate stays true
+    once true, so bisection over exact prefix maxima finds its first index.
+    """
+
+    def stops(i):
+        return x[i] + c_eps < paths[:i].max(axis=0).min()
+
+    lo, hi = 1, x.size - 1
+    if hi < lo or not stops(hi):
+        return x.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if stops(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SamplePath:
     """One Brown-Resnick path on ``grid`` with truncation error budget ``spec.epsilon``.
 
@@ -85,8 +111,17 @@ def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SampleP
     discarded point then had probability at most epsilon of mattering, and
     the levels of subsequent discarded points fall off geometrically fast.
 
-    Points are drawn and processed in chunks of 64 with array operations; the
-    draws consumed and the stopping rule are those of a point-by-point loop.
+    The levels never increase and the floor m* never decreases, so the stop
+    predicate X_k + c_eps < m*_{k-1} stays true once it is true.  Levels are
+    drawn ahead in blocks of 64 from their own stream.  Once a floor exists,
+    the stop comes no later than the first level c_eps below the current
+    floor, so a block draws Wiener rows only up to that level, and at most
+    ``_MAX_ROWS`` (``_FIRST_ROWS`` before any floor exists).  Within a block
+    the first stopping row is found by bisection over exact prefix maxima.
+    Every point the path uses takes its draws from the same stream positions
+    as in a point-by-point loop, so the path, the stop and the
+    ``TruncationError`` partial are that loop's, byte for byte; only Wiener
+    rows past the stop go undrawn.
     """
     arrivals = key.generator()
     wiener = key.with_substream(key.substream_index + 1).generator()
@@ -96,31 +131,38 @@ def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SampleP
     drift = -pts / 2.0
     sq_steps = np.sqrt(np.diff(pts))
 
-    best = None
-    floor = -np.inf
+    levels = np.empty(0)
     gamma = 0.0
-    produced = 0
-    while produced < spec.max_points:
-        take = min(_POINT_CHUNK, spec.max_points - produced)
-        expo = arrivals.standard_exponential(take)
-        z = wiener.standard_normal((take, pts.size - 1))
-        gam = np.cumsum(np.concatenate(([gamma], expo)))[1:]
-        # not np.log: numpy's SIMD log differs from math.log in the last bit
-        x = -np.array(list(map(math.log, gam.tolist())))
-        paths = np.zeros((take, pts.size))
+    best = None
+    done = 0
+    while done < spec.max_points:
+        end = min(done + (_FIRST_ROWS if best is None else _MAX_ROWS), spec.max_points)
+        floor = -np.inf if best is None else best.min()
+        # levels up to the block end, or until one past ``done`` would stop for sure
+        while levels.size < end and not (levels.size > done and levels[-1] + c_eps < floor):
+            expo = arrivals.standard_exponential(_LEVEL_BLOCK)
+            gam = np.cumsum(np.concatenate(([gamma], expo)))[1:]
+            gamma = gam[-1]
+            # not np.log: numpy's SIMD log differs from math.log in the last bit
+            levels = np.concatenate((levels, -np.array(list(map(math.log, gam.tolist())))))
+        below = np.flatnonzero(levels[done:end] + c_eps < floor)
+        if below.size:
+            if below[0] == 0:
+                return SamplePath(grid, best)
+            end = done + int(below[0])
+        x = levels[done:end]
+        z = wiener.standard_normal((x.size, pts.size - 1))
+        paths = np.zeros((x.size, pts.size))
         z *= sq_steps
         np.cumsum(z, axis=1, out=paths[:, 1:])
         paths += x[:, None] + drift
         if best is not None:
             paths[0] = np.maximum(best, paths[0])
-        np.maximum.accumulate(paths, axis=0, out=paths)
-        floors = paths.min(axis=1)
-        stops = np.flatnonzero(x + c_eps < np.concatenate(([floor], floors[:-1])))
-        if stops.size:
-            i = stops[0]
-            return SamplePath(grid, best if i == 0 else paths[i - 1])
-        gamma, best, floor = gam[-1], paths[-1], floors[-1]
-        produced += take
+        i = _first_stop(x, paths, c_eps)
+        if i < x.size:
+            return SamplePath(grid, paths[:i].max(axis=0))
+        best = paths.max(axis=0)
+        done = end
     raise TruncationError(
         f"stopping rule did not fire within {spec.max_points} points",
         SamplePath(grid, best),

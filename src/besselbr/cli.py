@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (return (passed, result rows, extra report fields))
+# subcommand handlers (return (passed, result rows, extra report fields); an
+# extra "timings_ms" entry holds per-stage wall-clock spans, see ``run``)
 
 
 def _cmd_constants(args):
@@ -352,34 +353,38 @@ def _cmd_br_sample(args):
 
 def _cmd_br_selftest(args):
     grid = make_dyadic_grid(args.grid_k)
+    columns = {t: grid.index_of(t) for t in (0.0, 0.5, 1.0)}  # exit 2 before any sampling
     key = StreamKey(args.seed)
-    base = sample_br_batch(
-        grid, BRTruncationSpec(epsilon=args.epsilon), key, args.replicates, args.threads
-    )
+    spans = {}
+
+    def batch(name, epsilon, batch_key):
+        started = time.perf_counter()
+        paths = sample_br_batch(
+            grid, BRTruncationSpec(epsilon=epsilon), batch_key, args.replicates, args.threads
+        )
+        spans[name] = 1000.0 * (time.perf_counter() - started)
+        return paths
+
+    base = batch("base", args.epsilon, key)
     rows = []
     ok = True
-    for t in (0.0, 0.5, 1.0):
-        ks = ks_statistic(base[:, grid.index_of(t)], gumbel_cdf)
+    for t, column in columns.items():
+        ks = ks_statistic(base[:, column], gumbel_cdf)
         good = ks <= args.marginal_threshold
         ok = ok and good
         rows.append(
             _result(f"ks_marginal_t_{t:g}", ks, threshold=args.marginal_threshold, passed=good)
         )
 
-    stationarity = two_sample_ks(base[:, grid.index_of(0.0)], base[:, grid.index_of(1.0)])
+    stationarity = two_sample_ks(base[:, columns[0.0]], base[:, columns[1.0]])
     good = stationarity <= args.two_sample_threshold
     ok = ok and good
     rows.append(
         _result("ks_stationarity", stationarity, threshold=args.two_sample_threshold, passed=good)
     )
 
-    column = grid.index_of(1.0)
-    loose = sample_br_batch(
-        grid, BRTruncationSpec(epsilon=1e-3), key.with_substream(10), args.replicates, args.threads
-    )[:, column]
-    tight = sample_br_batch(
-        grid, BRTruncationSpec(epsilon=1e-6), key.with_substream(20), args.replicates, args.threads
-    )[:, column]
+    loose = batch("loose", 1e-3, key.with_substream(10))[:, columns[1.0]]
+    tight = batch("tight", 1e-6, key.with_substream(20))[:, columns[1.0]]
     insensitivity = two_sample_ks(loose, tight)
     good = insensitivity <= args.two_sample_threshold
     ok = ok and good
@@ -391,7 +396,7 @@ def _cmd_br_selftest(args):
             passed=good,
         )
     )
-    return ok, rows, {}
+    return ok, rows, {"timings_ms": spans}
 
 
 _HANDLERS = {
@@ -466,9 +471,12 @@ def run(argv=None) -> int:
         "results": rows,
         "passed": passed,
     }
+    spans = extra.pop("timings_ms", {})  # per-stage wall clock, never part of a default report
+    for name, span_ms in spans.items():
+        print(f"[{args.command}] {name} {span_ms:.1f} ms", file=sys.stderr)
     report.update(extra)
     if args.emit_timings:
-        report["timings_ms"] = {"total": elapsed_ms}
+        report["timings_ms"] = {**spans, "total": elapsed_ms}
     else:
         print(f"[{args.command}] {elapsed_ms:.1f} ms", file=sys.stderr)
 

@@ -5,6 +5,8 @@ import pytest
 from scipy import special as sc
 
 from besselbr.brown_resnick import (
+    _FIRST_ROWS,
+    _MAX_ROWS,
     BRTruncationSpec,
     TruncationError,
     extremal_coefficient,
@@ -216,17 +218,32 @@ class TestSampleBR:
         assert single.tobytes() == pooled.tobytes() == rows.tobytes()
 
     def test_point_budget_exhaustion(self):
-        # a chunk shorter than 64, one full chunk, and budgets crossing a chunk boundary
+        # budgets at the edges of the first block, of a capped lookahead block and of
+        # the 64-point level refills; at this epsilon every lookahead block is capped
+        budgets = (1, 3, 64, 65, 130, _FIRST_ROWS, _FIRST_ROWS + 1, _MAX_ROWS, _MAX_ROWS + 1,
+                   _FIRST_ROWS + _MAX_ROWS, _FIRST_ROWS + _MAX_ROWS + 1)
+        for k in (2, 8):
+            grid = make_dyadic_grid(k)
+            for max_points in budgets:
+                spec = BRTruncationSpec(epsilon=1e-12, max_points=max_points)
+                with pytest.raises(TruncationError) as err:
+                    sample_br(grid, spec, StreamKey(6))
+                with pytest.raises(TruncationError) as ref:
+                    _reference_sample_br(grid, spec, StreamKey(6))
+                partial = err.value.partial
+                assert partial.values.shape == grid.points.shape
+                assert partial.values.tobytes() == ref.value.partial.values.tobytes(), (k, max_points)
+
+    def test_budget_that_ends_at_the_stop_still_raises(self):
+        # the stop at point index c is never checked under a budget of c points
         grid = make_dyadic_grid(2)
-        for max_points in (3, 64, 65, 130):
-            spec = BRTruncationSpec(epsilon=1e-12, max_points=max_points)
-            with pytest.raises(TruncationError) as err:
-                sample_br(grid, spec, StreamKey(6))
-            with pytest.raises(TruncationError) as ref:
-                _reference_sample_br(grid, spec, StreamKey(6))
-            partial = err.value.partial
-            assert partial.values.shape == grid.points.shape
-            assert partial.values.tobytes() == ref.value.partial.values.tobytes(), max_points
+        for r in range(20):
+            key = StreamKey(2043, replicate_index=r)
+            path, points = _reference_sample_br(grid, BRTruncationSpec(), key)
+            with pytest.raises(TruncationError):
+                sample_br(grid, BRTruncationSpec(max_points=points), key)
+            again = sample_br(grid, BRTruncationSpec(max_points=points + 1), key)
+            assert again.values.tobytes() == path.values.tobytes(), r
 
     @staticmethod
     def _consumed_matching_reference(grid, spec, keys):
@@ -243,7 +260,15 @@ class TestSampleBR:
     def test_matches_point_by_point_reference(self, k, epsilon):
         spec = BRTruncationSpec(epsilon=epsilon)
         consumed = self._consumed_matching_reference(make_dyadic_grid(k), spec, 40)
-        assert max(consumed) > 64  # some path crosses a chunk boundary
+        assert max(consumed) > _FIRST_ROWS  # some path draws a second block of points
+
+    def test_matches_reference_when_stops_land_early(self):
+        # at epsilon 0.5 the stop fires a few points in, so the bisection ends on
+        # the first row it may return and on rows inside the first block
+        spec = BRTruncationSpec(epsilon=0.5)
+        consumed = self._consumed_matching_reference(make_dyadic_grid(8), spec, 100)
+        assert min(consumed) == 1
+        assert any(1 < points < _FIRST_ROWS for points in consumed)
 
     @pytest.mark.parametrize("epsilon, keys", [(1e-4, 3000), (0.5, 1000)])
     def test_matches_reference_on_many_two_point_paths(self, epsilon, keys):

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from besselbr import cli
 from besselbr.cli import argv_from_config, run
 
 
@@ -151,6 +152,14 @@ class TestExitCodes:
         assert code == 2
         assert "stopping rule" in capsys.readouterr().err
 
+    def test_grid_without_midpoint_exits_before_sampling(self, monkeypatch, capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("br-selftest sampled before checking its grid")
+
+        monkeypatch.setattr(cli, "sample_br_batch", no_sampling)
+        assert run(["br-selftest", "--grid-k", "0", "--seed", "1"]) == 2
+        assert "0.5 is not a grid point" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_same_seed_twice_is_byte_identical(self, tmp_path):
@@ -193,6 +202,24 @@ class TestFormats:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["schema"] == "bessel-br/1"
         assert "PASS" in captured.err.splitlines()
+
+
+class TestTimings:
+    ARGV = ["br-selftest", "--grid-k", "2", "--replicates", "20", "--seed", "3"]
+
+    def test_selftest_spans_go_to_stderr_and_stay_out_of_the_report(self, tmp_path, capsys):
+        _, raw = run_to_file(tmp_path, "plain.json", list(self.ARGV))
+        err = capsys.readouterr().err
+        for stage in ("base", "loose", "tight"):
+            assert re.search(rf"^\[br-selftest\] {stage} [0-9.]+ ms$", err, re.M), stage
+        assert "timings_ms" not in json.loads(raw)
+
+    def test_emit_timings_adds_the_spans_next_to_total(self, tmp_path):
+        _, plain = run_to_file(tmp_path, "plain.json", list(self.ARGV))
+        _, timed = run_to_file(tmp_path, "timed.json", self.ARGV + ["--emit-timings"])
+        report = json.loads(timed)
+        assert list(report.pop("timings_ms")) == ["base", "loose", "tight", "total"]
+        assert report == json.loads(plain)
 
 
 class TestConfigEcho:
