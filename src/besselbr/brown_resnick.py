@@ -32,7 +32,8 @@ __all__ = [
 _LEVEL_BLOCK = 64  # exponentials drawn per refill of sample_br's level buffer
 _FIRST_ROWS = 32  # Wiener rows sample_br draws before its running maximum has a floor
 _MAX_ROWS = 128  # cap on the Wiener rows of any later block
-BR_CHUNK = 100  # replicates per canonical chunk of sample_br_batch and sample_br_exact
+BR_CHUNK = 100  # replicates per canonical chunk of sample_br_batch
+EXACT_CHUNK = 1000  # replicates per canonical chunk of sample_br_exact
 
 
 @dataclass(frozen=True)
@@ -206,12 +207,24 @@ def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
     [0, 1]; neither endpoint is needed.  The law at ``times`` is exact: no
     truncation budget is involved.
 
+    Proposals are drawn lazily.  Run backward from t_j, W(t_j - s) - W(t_j)
+    is again a Brownian motion in s (time reversal), and it is independent
+    of the part W(t) - W(t_j) for t > t_j.  So a proposal first draws its
+    backward increments to t_{j-1}, then the next 4, the next 16 and then
+    the rest, and is dropped at the first block where it reaches M: the
+    eager walk would drop it too, whatever its undrawn values.  Only a kept
+    proposal draws its part after t_j, independent of the values it was
+    kept on; before t_j it lies below M, so M changes only from t_j on.  The
+    values the algorithm reads thus have the eager walk's joint law, and so
+    do the paths.
+
     Returns ``(paths, spectral)``: the ``(replicates, len(times))`` matrix of
     paths and, per row, the number of spectral functions simulated, whose
     expectation is ``len(times)`` (ibid., Proposition 4).  Rows run in fixed
-    chunks of ``BR_CHUNK``; chunk c draws everything from the one stream at
-    ``key.with_replicate(c)``, so the output is byte-stable under any thread
-    count.
+    chunks of ``EXACT_CHUNK``, each proposal round vectorised over the rows
+    of a chunk that are still active; chunk c draws everything from the one
+    stream at ``key.with_replicate(c)``, so the output is byte-stable under
+    any thread count.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
@@ -222,7 +235,7 @@ def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
 
     def chunk(c):
         rng = key.with_replicate(c).generator()
-        rows = min(replicates, (c + 1) * BR_CHUNK) - c * BR_CHUNK
+        rows = min(replicates, (c + 1) * EXACT_CHUNK) - c * EXACT_CHUNK
         best = np.full((rows, pts.size), -np.inf)
         spectral = np.zeros(rows, dtype=np.int64)
         for j, t in enumerate(pts):
@@ -234,19 +247,28 @@ def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
                 level = -np.log(gamma[active])
                 above = level > best[active, j]
                 active, level = active[above], level[above]
-                if not active.size:
-                    break
                 spectral[active] += 1
-                walk = np.zeros((active.size, pts.size))
-                np.cumsum(rng.standard_normal((active.size, pts.size - 1)) * sq_steps,
-                          axis=1, out=walk[:, 1:])
-                proposal = walk - walk[:, j, None] + level[:, None] + drift
-                kept = np.all(proposal[:, :j] < best[active, :j], axis=1)
-                rows_kept = active[kept]
-                best[rows_kept] = np.maximum(best[rows_kept], proposal[kept])
+                # backward from t_j: ``here`` is X + W(t_lo) - W(t_j) at the walk's front
+                kept, here, lo = active, level, j
+                for size in (1, 4, 16, j):
+                    if lo == 0 or not kept.size:
+                        break
+                    hi, lo = lo, max(lo - size, 0)
+                    walk = np.cumsum(
+                        rng.standard_normal((kept.size, hi - lo)) * sq_steps[lo:hi][::-1], axis=1
+                    )
+                    walk += here[:, None]
+                    below = np.all(walk[:, ::-1] + drift[lo:hi] < best[kept, lo:hi], axis=1)
+                    kept, level, here = kept[below], level[below], walk[below, -1]
+                if kept.size:
+                    walk = np.zeros((kept.size, pts.size - j))
+                    np.cumsum(rng.standard_normal((kept.size, pts.size - 1 - j)) * sq_steps[j:],
+                              axis=1, out=walk[:, 1:])
+                    walk += level[:, None] + drift[j:]
+                    best[kept, j:] = np.maximum(best[kept, j:], walk)
         return best, spectral
 
-    paths, spectral = zip(*parallel_map(chunk, -(-replicates // BR_CHUNK), threads))
+    paths, spectral = zip(*parallel_map(chunk, -(-replicates // EXACT_CHUNK), threads))
     return np.concatenate(paths), np.concatenate(spectral)
 
 

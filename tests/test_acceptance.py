@@ -223,7 +223,7 @@ def test_criterion_09_cli_reports_are_thread_invariant(tmp_path):
         "fdd-check": [
             "fdd-check", "--process", "bessel", "--m", "2", "--n", "500", "--replicates", "400",
         ],
-        "fdd-check-br": ["fdd-check", "--process", "br", "--times", "0,1", "--replicates", "1000"],
+        "fdd-check-br": ["fdd-check", "--process", "br", "--times", "0,1", "--replicates", "2500"],
         "br-sample": ["br-sample", "--grid-k", "5"],
         "br-selftest": [
             "br-selftest", "--grid-k", "5", "--replicates", "300",

@@ -7,6 +7,7 @@ from scipy import special as sc
 from besselbr.brown_resnick import (
     _FIRST_ROWS,
     _MAX_ROWS,
+    EXACT_CHUNK,
     BRTruncationSpec,
     TruncationError,
     extremal_coefficient,
@@ -323,13 +324,15 @@ class TestSampleBR:
 
 class TestSampleBRExact:
     def test_same_key_same_bytes_and_thread_invariant(self):
-        # 250 replicates cross the fixed chunk boundaries
+        # 2,100 replicates cross two fixed chunk boundaries
+        replicates = 2100
+        assert replicates > 2 * EXACT_CHUNK
         grid = make_dyadic_grid(2)
         key = StreamKey(2050)
-        paths, spectral = sample_br_exact(grid.points, key, 250, threads=1)
-        again, again_spectral = sample_br_exact(grid.points, key, 250, threads=1)
-        pooled, pooled_spectral = sample_br_exact(grid.points, key, 250, threads=3)
-        assert paths.shape == (250, grid.points.size) and spectral.shape == (250,)
+        paths, spectral = sample_br_exact(grid.points, key, replicates, threads=1)
+        again, again_spectral = sample_br_exact(grid.points, key, replicates, threads=1)
+        pooled, pooled_spectral = sample_br_exact(grid.points, key, replicates, threads=3)
+        assert paths.shape == (replicates, grid.points.size) and spectral.shape == (replicates,)
         assert paths.tobytes() == again.tobytes() == pooled.tobytes()
         assert spectral.tobytes() == again_spectral.tobytes() == pooled_spectral.tobytes()
         assert np.all(np.isfinite(paths)) and spectral.min() >= 1
@@ -367,6 +370,48 @@ class TestSampleBRExact:
         statistics.append(two_sample_ks(exact.max(axis=1), oracle.max(axis=1)))
         statistics.append(two_sample_ks(exact[:, 6] - exact[:, 2], oracle[:, 6] - oracle[:, 2]))
         assert max(statistics) <= 0.033  # the two-sample gate of test_stationarity
+
+    def test_backward_walk_blocks_match_truncated_sampler_in_law(self):
+        # 33 points: proposals at late grid indices walk back through the
+        # blocks of 1, 4 and 16 steps and then the rest
+        grid = make_dyadic_grid(5)
+        exact, _ = sample_br_exact(grid.points, StreamKey(2056), 5000)
+        oracle = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2057), 5000)
+        statistics = [two_sample_ks(exact[:, j], oracle[:, j]) for j in range(grid.points.size)]
+        statistics.append(two_sample_ks(exact.max(axis=1), oracle.max(axis=1)))
+        statistics.append(two_sample_ks(exact[:, 28] - exact[:, 4], oracle[:, 28] - oracle[:, 4]))
+        assert max(statistics) <= 0.033
+
+    def test_fine_grid_marginals_are_gumbel(self):
+        # 257 points: a walk that resumed from the wrong point after the
+        # 4-step block moved the t = 1 column by about 0.027 in KS
+        grid = make_dyadic_grid(8)
+        paths, _ = sample_br_exact(grid.points, StreamKey(2059), 5000)
+        for t in (0.0, 0.5, 1.0):
+            assert ks_statistic(paths[:, grid.index_of(t)], gumbel_cdf) <= 0.026, t
+
+    def test_rejected_proposals_draw_few_normals(self, monkeypatch):
+        # an eager walk draws the whole 257-point path for each of about 250
+        # proposals per path, about 65,000 normals; the lazy walk about 1,000
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def standard_normal(self, size):
+                out = self._rng.standard_normal(size)
+                drawn.append(out.size)
+                return out
+
+            def standard_exponential(self, size):
+                return self._rng.standard_exponential(size)
+
+        generator = StreamKey.generator
+        monkeypatch.setattr(StreamKey, "generator", lambda key: Counting(generator(key)))
+        paths, _ = sample_br_exact(make_dyadic_grid(8).points, StreamKey(2058), 1000)
+        assert np.all(np.isfinite(paths))
+        assert sum(drawn) < 2000 * 1000
 
     @pytest.mark.parametrize(
         "times",
