@@ -44,9 +44,15 @@ Findings from the recorded run (2026-08-10, this machine):
     below about 0.3% (95% upper bound for 0 of 1000).  A re-run after the
     exact sampler's lazy walk, which leaves these families' streams alone,
     gave the same values.
-    Acceptance seed 7: bessel 0.0232 (substream 70) and scalar 0.0136
-    (substream 71), where the brute force gave 0.0107 and 0.0196; seed and
-    threshold are unchanged.
+    Re-run 2026-10-19 after pair_maxima moved to 500-row chunks, 8-copy
+    first blocks and no draw at t = 0 (new stream layout): 0.0083..0.0302
+    (bessel) and 0.0128..0.0412 (scalar) at pilot seeds 2000..2004.  Over
+    1000 seeds (7000..7999) no value exceeded 0.05: max 0.0462 (bessel) and
+    0.0472 (scalar), 99th percentile 0.0349 and 0.0403, median 0.0167 and
+    0.0190.
+    Acceptance seed 7: bessel 0.0252 (substream 70) and scalar 0.0202
+    (substream 71); before the re-run 0.0232 and 0.0136, and by brute force
+    0.0107 and 0.0196.  Seed and threshold are unchanged.
   * limit-process self-tests at 5000 replicates: marginal KS <= 0.024
     (threshold 0.026); the stationarity and truncation comparisons reach
     0.0238 (eps-insensitivity at seed 4002; threshold 0.033).

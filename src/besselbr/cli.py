@@ -317,7 +317,7 @@ def _cmd_fdd_check(args):
     threshold = args.threshold
     if threshold is None:
         threshold = 0.03 if args.process == "br" else 0.05
-    diagnostics = {}
+    diagnostics, spans = {}, {}
     diff = fdd_check(
         args.process,
         args.m,
@@ -327,11 +327,12 @@ def _cmd_fdd_check(args):
         StreamKey(args.seed),
         threads=args.threads,
         diagnostics=diagnostics,
+        timings=spans,
     )
     ok = diff <= threshold
     rows = [_result("fdd_sup_diff", diff, threshold=threshold, passed=ok)]
     rows += [_result(name, value) for name, value in diagnostics.items()]
-    return ok, rows, {}
+    return ok, rows, {"timings_ms": spans}
 
 
 def _cmd_br_sample(args):

@@ -4,7 +4,8 @@ One kernel, :func:`_brownian`, places exact Gaussian increments between
 consecutive times, so the joint law at those times carries no discretisation
 bias.  The squared Bessel and scalar-product batches are assembled from its
 Brownian coordinates by their defining sums, and every sampler draws all
-coordinates of all rows from the single stream at its key, in C order.
+coordinates of all rows from the single stream at its key, in C order.  A
+leading time 0 takes no draw: B(0) = 0 is known, so its column is set to 0.
 """
 
 import numpy as np
@@ -98,11 +99,16 @@ def _brownian(times: np.ndarray, rng: np.random.Generator, shape: tuple) -> np.n
 
     ``times`` need not begin at 0; the first increment covers (0, times[0]].
     Returns shape ``(*shape, len(times))``: the normals of ``rng`` in C order,
-    scaled to exact increments and summed in place.
+    scaled to exact increments and summed.  A leading time 0 draws no normal:
+    its column is exactly 0, and the rest equals ``_brownian(times[1:], ...)``
+    from the same ``rng``.
     """
-    z = rng.standard_normal((*shape, times.size))
-    z *= np.sqrt(np.diff(times, prepend=0.0))
-    return np.cumsum(z, axis=-1, out=z)
+    start = int(times[0] == 0.0)
+    z = rng.standard_normal((*shape, times.size - start))
+    z *= np.sqrt(np.diff(times[start:], prepend=0.0))
+    out = np.zeros((*shape, times.size))
+    np.cumsum(z, axis=-1, out=out[..., start:])
+    return out
 
 
 def _check_dimension(m):

@@ -173,7 +173,7 @@ def local_scalar_batch(ts, n, m: int, key: StreamKey, count: int) -> np.ndarray:
 
 
 PAIR_EPSILON = 1e-3  # bound on the expected number of discarded copies that could move a row
-_FIRST_BLOCK = 64  # copies per active row in pair_maxima's first lockstep block; then doubling
+_FIRST_BLOCK = 8  # copies per active row in pair_maxima's first lockstep block; then doubling
 
 
 def pair_maxima(process: str, ts, n, m: int, key: StreamKey, count: int):
@@ -220,11 +220,11 @@ def pair_maxima(process: str, ts, n, m: int, key: StreamKey, count: int):
     expected shift is at most 1e-3.  Copies never go past k = n.
 
     Copies run in decreasing level, in lockstep blocks over the rows still
-    active (64, then doubling), all drawn from the one stream at ``key``; the
-    rest of a block after a row's stop is drawn and dropped.  Returns
-    ``(maxima, copies)``: the ``(count, len(ts))`` maxima and, per row, the
-    number of copies that entered them, which is n where the stop never
-    fires.
+    active (8 copies per row, then doubling), all drawn from the one stream
+    at ``key``; the rest of a block after a row's stop is drawn and dropped.
+    Returns ``(maxima, copies)``: the ``(count, len(ts))`` maxima and, per
+    row, the number of copies that entered them, which is n where the stop
+    never fires.
     """
     if process not in ("bessel", "scalar"):
         raise ValueError(f"process must be bessel or scalar, got {process!r}")

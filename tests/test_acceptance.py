@@ -23,6 +23,7 @@ from besselbr.rescale import (
     scalar_constants,
 )
 from besselbr.stats import (
+    FDD_CHUNK,
     fdd_check,
     ks_statistic,
     marginal_gumbel_sweep,
@@ -221,7 +222,7 @@ def test_criterion_09_cli_reports_are_thread_invariant(tmp_path):
             "--ns", "100,1000", "--replicates", "500",
         ],
         "fdd-check": [
-            "fdd-check", "--process", "bessel", "--m", "2", "--n", "500", "--replicates", "400",
+            "fdd-check", "--process", "bessel", "--m", "2", "--n", "500", "--replicates", "1250",
         ],
         "fdd-check-br": ["fdd-check", "--process", "br", "--times", "0,1", "--replicates", "2500"],
         "br-sample": ["br-sample", "--grid-k", "5"],
@@ -230,6 +231,7 @@ def test_criterion_09_cli_reports_are_thread_invariant(tmp_path):
             "--marginal-threshold", "0.2", "--two-sample-threshold", "0.2",
         ],
     }
+    assert int(commands["fdd-check"][-1]) > 2 * FDD_CHUNK  # threads 1 and 4 cross chunks
     threaded = {"marginal-sweep", "fdd-check", "fdd-check-br", "br-selftest"}
     ok = True
     details = []

@@ -221,6 +221,26 @@ class TestTimings:
         assert list(report.pop("timings_ms")) == ["base", "loose", "tight", "total"]
         assert report == json.loads(plain)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fdd-check --process bessel --m 2 --n 200 --replicates 50 --seed 3",
+            "fdd-check --process br --times 0,1 --replicates 50 --seed 3",
+        ],
+        ids=["prelimit", "limit"],
+    )
+    def test_fdd_check_spans_reach_stderr_and_only_the_timed_report(self, tmp_path, capsys, argv):
+        argv = argv.split()
+        _, plain = run_to_file(tmp_path, "plain.json", argv)
+        err = capsys.readouterr().err
+        for stage in ("sample", "statistic"):
+            assert re.search(rf"^\[fdd-check\] {stage} [0-9.]+ ms$", err, re.M), stage
+        assert "timings_ms" not in json.loads(plain)
+        _, timed = run_to_file(tmp_path, "timed.json", argv + ["--emit-timings"])
+        report = json.loads(timed)
+        assert list(report.pop("timings_ms")) == ["sample", "statistic", "total"]
+        assert report == json.loads(plain)
+
 
 class TestConfigEcho:
     def test_round_trip_reproduces_results(self, tmp_path):

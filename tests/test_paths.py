@@ -96,6 +96,26 @@ class TestBrownianMotion:
         first = _brownian(times, key.generator(), ())
         assert first.tobytes() == _brownian(times, key.generator(), ()).tobytes()
 
+    def test_leading_zero_takes_no_draw(self):
+        # B(0) = 0 is known: the rest is the same motion on the positive times
+        times = np.array([0.0, 0.25, 0.5, 1.0])
+        key = StreamKey(56)
+        with_zero = _brownian(times, key.generator(), (3, 2))
+        positive = _brownian(times[1:], key.generator(), (3, 2))
+        front = np.zeros((3, 2, 1))
+        assert with_zero.tobytes() == np.concatenate((front, positive), axis=-1).tobytes()
+
+    @pytest.mark.parametrize(
+        "times,per_motion",
+        [([0.25, 0.5, 1.0], 3), ([0.0, 0.5, 1.0], 2)],
+        ids=["positive", "leading-zero"],
+    )
+    def test_normals_drawn_per_motion(self, times, per_motion):
+        rng, reference = StreamKey(57).generator(), StreamKey(57).generator()
+        _brownian(np.array(times), rng, (5,))
+        reference.standard_normal(5 * per_motion)
+        assert rng.standard_normal() == reference.standard_normal()
+
 
 @pytest.fixture(scope="module")
 def bessel_terminal_m2():

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 from scipy import special as sc
 
+from besselbr import rescale
 from besselbr.numerics import StreamKey
 from besselbr.paths import make_dyadic_grid, scalar_product_batch, squared_bessel_batch
 from besselbr.rescale import (
@@ -303,6 +304,21 @@ class TestPairMaxima:
                     args = (q, surv, running, 10**4 - 40, c, m, ts)
                     bound = float(_discard_risk(np.asarray(q), np.asarray(surv), *args[2:]))
                     assert discarded_copies_risk(*args) <= bound < np.inf, (floor, above, gap)
+
+    @pytest.mark.parametrize("process,most", [("bessel", 55), ("scalar", 100)])
+    def test_first_blocks_draw_few_copies(self, monkeypatch, process, most):
+        # every drawn copy passes through the stop rule once
+        drawn = []
+        risk = rescale._discard_risk
+
+        def counting(q, *args):
+            drawn.append(q.size)
+            return risk(q, *args)
+
+        monkeypatch.setattr(rescale, "_discard_risk", counting)
+        rows = 2000
+        _, copies = pair_maxima(process, np.array([0.0, 1.0]), 10**4, 2, StreamKey(4500), rows)
+        assert copies.mean() <= sum(drawn) / rows < most
 
     def test_same_key_same_bytes(self):
         ts = np.array([0.25, 0.75])

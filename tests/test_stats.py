@@ -6,6 +6,7 @@ import pytest
 from besselbr.brown_resnick import gumbel_cdf, hr_bivariate_cdf, hr_lambda
 from besselbr.numerics import StreamKey
 from besselbr.stats import (
+    FDD_CHUNK,
     SweepReport,
     _local_pair_maxima,
     bivariate_cdf_diff,
@@ -178,9 +179,12 @@ class TestFddCheck:
             fdd_check("ou", 2, (0.0, 1.0), 100, 10, StreamKey(1))
 
     def test_deterministic_and_thread_invariant(self):
+        # 1,250 replicates cross two fixed chunk boundaries
+        replicates = 1250
+        assert replicates > 2 * FDD_CHUNK
         key = StreamKey(26)
-        a = fdd_check("bessel", 2, (0.0, 1.0), 500, 400, key, threads=1)
-        b = fdd_check("bessel", 2, (0.0, 1.0), 500, 400, key, threads=4)
+        a = fdd_check("bessel", 2, (0.0, 1.0), 500, replicates, key, threads=1)
+        b = fdd_check("bessel", 2, (0.0, 1.0), 500, replicates, key, threads=4)
         assert a == b
 
     def test_limit_process_self_harness_quick(self):
@@ -195,10 +199,14 @@ class TestFddCheck:
         assert a == b
 
     def test_pair_maxima_bytes_do_not_depend_on_threads(self):
-        # 250 replicates cross the fixed chunk boundaries
+        # 1,250 replicates cross two fixed chunk boundaries
+        replicates = 1250
+        assert replicates > 2 * FDD_CHUNK
         ts = np.array([0.0, 1.0])
-        pairs, copies = _local_pair_maxima("bessel", 2, ts, 10**4, StreamKey(30), 250, 1)
-        pooled, pooled_copies = _local_pair_maxima("bessel", 2, ts, 10**4, StreamKey(30), 250, 4)
+        pairs, copies = _local_pair_maxima("bessel", 2, ts, 10**4, StreamKey(30), replicates, 1)
+        pooled, pooled_copies = _local_pair_maxima(
+            "bessel", 2, ts, 10**4, StreamKey(30), replicates, 4
+        )
         assert pairs.tobytes() == pooled.tobytes() and copies.tobytes() == pooled_copies.tobytes()
 
     def test_reports_copies_per_replicate(self):
