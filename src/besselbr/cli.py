@@ -456,6 +456,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
 
+    directory = os.path.dirname(os.path.abspath(args.out or "."))  # checked before any sampling
+    if args.out and (os.path.isdir(args.out) or not os.access(directory, os.W_OK)):
+        print(f"error: cannot write the report to --out {args.out!r}", file=sys.stderr)
+        return 2
+
     started = time.perf_counter()
     try:
         passed, rows, extra = _HANDLERS[args.command](args)

@@ -156,6 +156,8 @@ def _split_rescaled(b1, bstar, c, ts):
     # (|b1 + bstar/sqrt(c)|^2 - c - ts) / 2 for b1 (rows, m) at time 1 and
     # bstar (rows, m, times) in the local clock, as X + R(t) - t/2 + delta(t)
     x = (np.einsum("ij,ij->i", b1, b1) - c) / 2.0
+    if not ts[-1] > 0.0:  # bstar is 0 at t = 0, and c may then be any real
+        return x[:, None] - ts / 2.0
     r = np.einsum("ij,ijk->ik", b1, bstar) / math.sqrt(c)
     delta = np.einsum("ijk,ijk->ik", bstar, bstar) / (2.0 * c)
     return x[:, None] + r - ts / 2.0 + delta
@@ -217,7 +219,10 @@ def pair_maxima(process: str, ts, n, m: int, key: StreamKey, count: int):
     ``PAIR_EPSILON`` = 1e-3, so each discarded copy has risk at most p <= 1e-3,
     and the risk summed over a row's discarded copies is at most 1e-3.  A
     row this affects moves an empirical CDF by at most 1/count, so the
-    expected shift is at most 1e-3.  Copies never go past k = n.
+    expected shift is at most 1e-3.  Copies never go past k = n.  At the
+    single time 0 the clock is not read, so b may have any sign, the column
+    is the normalised marginal maximum, and the stop is exact: later copies
+    lie below (Q - c)/2, so a row stops at its first Q < 2 M_0 + c.
 
     Copies run in decreasing level, in lockstep blocks over the rows still
     active (8 copies per row, then doubling), all drawn from the one stream
@@ -229,11 +234,12 @@ def pair_maxima(process: str, ts, n, m: int, key: StreamKey, count: int):
     if process not in ("bessel", "scalar"):
         raise ValueError(f"process must be bessel or scalar, got {process!r}")
     ts = _checked_times(ts)
-    if not 0.0 < ts[-1] <= 1.0:
-        raise ValueError("pair_maxima needs times in [0, 1] with a positive last time")
+    if not ts[-1] <= 1.0:
+        raise ValueError("pair_maxima needs times in [0, 1]")
     n = int(n)
     b = (bessel_constants if process == "bessel" else scalar_constants)(n, m).b
-    if not b > 0.0:
+    clocked = ts[-1] > 0.0  # only a positive time reads the local clock 1 + t/c
+    if clocked and not b > 0.0:
         raise ValueError(f"the local clock needs a positive centering constant, got b = {b}")
     c = b if process == "bessel" else 2.0 * b
     rng = key.generator()
@@ -254,8 +260,9 @@ def pair_maxima(process: str, ts, n, m: int, key: StreamKey, count: int):
         b1[:, 0] = np.sqrt(level).ravel()
         values = _split_rescaled(b1, _brownian(ts, rng, (rows * take, m)), c, ts)
         if process == "scalar":
-            g = rng.standard_normal((rows * take, m, 1))
-            d = g + _brownian(ts, rng, (rows * take, m)) / math.sqrt(c)
+            d = rng.standard_normal((rows * take, m, 1))
+            if clocked:
+                d = d + _brownian(ts, rng, (rows * take, m)) / math.sqrt(c)
             values -= np.einsum("ijk,ijk->ik", d, d) / 2.0
         run = np.concatenate((best[active, None], values.reshape(rows, take, ts.size)), axis=1)
         np.maximum.accumulate(run, axis=1, out=run)
@@ -274,6 +281,8 @@ def _discard_risk(q, surv, running, rest, c, m, ts):
     # pair_maxima's bound on the expected number of copies from this one on
     # that could exceed a ``running`` maximum; inf where it does not apply
     positive = ts > 0.0
+    if not positive.any():  # exact at t = 0 alone, see pair_maxima
+        return np.where(np.all(q[..., None] < 2.0 * running + c, axis=-1), 0.0, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.sqrt(q)
         rho_t = math.sqrt(c) * (np.sqrt(2.0 * running + c + ts) - z[..., None])

@@ -11,10 +11,11 @@ have known one-dimensional laws, so the maximum of n of them is drawn in one
 step through the inverse distribution function of the maximum whenever that
 inverse is available (chi-square via the regularized gamma inverse, the m = 2
 product sum via the Laplace quantile, Brownian values via the normal
-quantile).  The same uniforms are reused across the sweep's sample counts, so
-consecutive sweep entries are coupled and the reported decrease in KS
-distance reflects the shrinking distributional bias rather than independent
-sampling noise.
+quantile), and otherwise (the product sum for m != 2) from the time-0
+column of ``rescale.pair_maxima``.  Every sample count of a chunk draws from
+the chunk's one stream, so consecutive sweep entries are coupled and the
+reported decrease in KS distance reflects the shrinking distributional bias
+rather than independent sampling noise.
 """
 
 import time
@@ -136,15 +137,6 @@ def _coupled_normalized_max(process, m, n, u):
     return (mx - consts.b) / consts.a
 
 
-def _raw_normalized_max(process, m, n, count, rng):
-    # fallback for laws without a usable quantile: draw the n base values
-    if process != "scalar":
-        raise ValueError(f"no raw sampler needed for process {process!r}")
-    draws = rng.standard_normal((count, n)) * np.sqrt(rng.chisquare(m, (count, n)))
-    consts = scalar_constants(n, m)
-    return (draws.max(axis=1) - consts.b) / consts.a
-
-
 def marginal_gumbel_sweep(
     process: str,
     m: int,
@@ -159,7 +151,7 @@ def marginal_gumbel_sweep(
     ``process`` selects the base marginal at time 1: "bessel" (chi-square(m)),
     "scalar" (the m-term product sum) or "bm" (N(0, 1) with the classical
     normal norming constants, as a sanity baseline).  Maxima are sampled
-    directly from the known one-dimensional laws; no paths are simulated.
+    as the module docstring describes; no paths are simulated.
     Fixed key, fixed output, for every thread count.
     """
     if process not in _PROCESSES:
@@ -171,22 +163,15 @@ def marginal_gumbel_sweep(
     if replicates < 1:
         raise ValueError("replicates must be positive")
 
-    coupled = process in ("bessel", "bm") or (process == "scalar" and m == 2)
     n_chunks = -(-replicates // SWEEP_CHUNK)
 
     def worker(c):
-        lo = c * SWEEP_CHUNK
-        count = min(replicates, lo + SWEEP_CHUNK) - lo
-        block = np.empty((len(ns), count))
-        if coupled:
-            u = key.with_replicate(c).generator().random(count)
-            for j, n in enumerate(ns):
-                block[j] = _coupled_normalized_max(process, m, n, u)
-        else:
-            for j, n in enumerate(ns):
-                rng = key.with_replicate(c).with_substream(j + 1).generator()
-                block[j] = _raw_normalized_max(process, m, n, count, rng)
-        return block
+        chunk, count = key.with_replicate(c), min(SWEEP_CHUNK, replicates - c * SWEEP_CHUNK)
+        if process != "scalar" or m == 2:
+            u = chunk.generator().random(count)
+            return np.array([_coupled_normalized_max(process, m, n, u) for n in ns])
+        # no quantile here: a = 1, and pair_maxima at the single time 0 gives max - b
+        return np.array([pair_maxima("scalar", [0.0], n, m, chunk, count)[0][:, 0] for n in ns])
 
     samples = np.concatenate(parallel_map(worker, n_chunks, threads), axis=1)
     return SweepReport(ns, [ks_statistic(row, gumbel_cdf) for row in samples])

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 
 import pytest
 
@@ -147,6 +148,18 @@ class TestExitCodes:
         assert "expected a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing/r.json", ""], ids=["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error_before_sampling(self, monkeypatch, tmp_path, capsys,
+                                                           where):
+        def no_sampling(args):
+            raise AssertionError("the command ran before its --out was checked")
+
+        monkeypatch.setitem(cli._HANDLERS, "marginal-sweep", no_sampling)
+        argv = ["marginal-sweep", "--process", "bm", "--seed", "1", "--out", str(tmp_path / where)]
+        assert run(argv) == 2
+        assert "error: cannot write the report" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_exhausted_point_budget_is_reported_cleanly(self, capsys):
         code = run(["br-sample", "--epsilon", "1e-9", "--max-points", "2", "--seed", "1"])
         assert code == 2
@@ -159,6 +172,22 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "sample_br_batch", no_sampling)
         assert run(["br-selftest", "--grid-k", "0", "--seed", "1"]) == 2
         assert "0.5 is not a grid point" in capsys.readouterr().err
+
+
+class TestMarginalSweepCommand:
+    def test_scalar_sweep_reaches_n_1e8_in_seconds(self, capsys):
+        started = time.perf_counter()
+        code = run(
+            [
+                "marginal-sweep", "--process", "scalar", "--m", "3", "--ns", "100,100000000",
+                "--replicates", "2000", "--seed", "8",
+            ]
+        )
+        elapsed = time.perf_counter() - started
+        rows = json.loads(capsys.readouterr().out)["results"]
+        values = {row["statistic"]: row["value"] for row in rows}
+        assert code == 0 and values["ks_gumbel_n_100000000"] < values["ks_gumbel_n_100"]
+        assert elapsed < 30.0
 
 
 class TestDeterminism:

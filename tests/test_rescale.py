@@ -245,7 +245,8 @@ def discarded_copies_risk(q, surv, running, rest, c, m, ts):
     # later copies, whose levels are i.i.d. chi-square(m) below q
     def risk(x):
         rho = math.sqrt(c) * (np.sqrt(2.0 * running + c + ts) - math.sqrt(x))
-        return float(sc.gammaincc(m / 2.0, rho**2 / (2.0 * ts)).sum())
+        with np.errstate(divide="ignore"):  # at t = 0 a positive rho leaves no risk
+            return float(sc.gammaincc(m / 2.0, rho**2 / (2.0 * ts)).sum())
 
     def density(x):
         log_density = (m / 2 - 1) * math.log(x) - x / 2 - (m / 2) * math.log(2) - sc.gammaln(m / 2)
@@ -286,15 +287,37 @@ class TestPairMaxima:
 
     def test_time_zero_column_is_laplace_maximum_for_scalar(self):
         n = 10**4
-        fast, _ = pair_maxima("scalar", np.array([0.0, 1.0]), n, 2, StreamKey(4301), 5000)
         b = scalar_constants(n, 2).b
         cdf = lambda x: np.exp(n * np.log1p(-0.5 * np.exp(-(x + b))))
-        assert ks_statistic(fast[:, 0], cdf) <= 0.026
+        for ts in ([0.0, 1.0], [0.0]):
+            fast, _ = pair_maxima("scalar", np.array(ts), n, 2, StreamKey(4301), 5000)
+            assert ks_statistic(fast[:, 0], cdf) <= 0.026, ts
+
+    @pytest.mark.parametrize("n", [2, 1000], ids=["b-negative", "n-1000"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_time_zero_alone_is_the_normalised_scalar_maximum(self, m, n):
+        # brute force: X sqrt(S) with S ~ chi-square(m) has the law of an
+        # m-term product sum, and at n = 2 the centering b is negative.
+        # 0.0163 is the 1% two-sample KS critical value at 20,000 rows a side.
+        rows, block = 20000, 500
+        fast, copies = pair_maxima("scalar", np.array([0.0]), n, m, StreamKey(4600 + m, n), rows)
+        rng = StreamKey(4700 + m, n).generator()
+        brute = np.concatenate([
+            (rng.standard_normal((block, n)) * np.sqrt(rng.chisquare(m, (block, n)))).max(axis=1)
+            for _ in range(rows // block)
+        ])
+        assert copies.min() >= 1 and copies.max() <= n
+        assert two_sample_ks(fast[:, 0], brute - scalar_constants(n, m).b) <= 0.0163
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_stop_bound_covers_the_discarded_copies(self, m):
         c = bessel_constants(10**4, m).b
-        layouts = (([1.0], [0.0]), ([0.25, 0.75], [0.0, 0.0]), ([0.25, 0.75], [0.8, 0.0]))
+        layouts = (
+            ([1.0], [0.0]),
+            ([0.25, 0.75], [0.0, 0.0]),
+            ([0.25, 0.75], [0.8, 0.0]),
+            ([0.0], [0.0]),
+        )
         for floor in (-1.0, 1.5):
             for ts, above in layouts:
                 ts, running = np.array(ts), floor + np.array(above)
@@ -332,7 +355,8 @@ class TestPairMaxima:
             pair_maxima("bm", ts, 100, 2, StreamKey(1), 10)
         with pytest.raises(ValueError):
             pair_maxima("bessel", np.array([0.5, 1.5]), 100, 2, StreamKey(1), 10)
-        with pytest.raises(ValueError):
-            pair_maxima("bessel", np.array([0.0]), 100, 2, StreamKey(1), 10)
+        # the single time 0 reads no local clock, so it needs no positive b
+        fast, copies = pair_maxima("scalar", np.array([0.0]), 2, 2, StreamKey(1), 10)
+        assert fast.shape == (10, 1) and copies.max() <= 2
         with pytest.raises(ValueError):  # b = 0: the local clock 1 + t/(2b) is undefined
             pair_maxima("scalar", ts, 2, 2, StreamKey(1), 10)

@@ -7,6 +7,7 @@ from besselbr.brown_resnick import gumbel_cdf, hr_bivariate_cdf, hr_lambda
 from besselbr.numerics import StreamKey
 from besselbr.stats import (
     FDD_CHUNK,
+    SWEEP_CHUNK,
     SweepReport,
     _local_pair_maxima,
     bivariate_cdf_diff,
@@ -143,6 +144,15 @@ class TestMarginalGumbelSweep:
         b = marginal_gumbel_sweep("bessel", 3, [100, 1000], 600, key, threads=4)
         assert a.values == b.values
 
+    def test_scalar_pair_maxima_sweep_is_thread_invariant(self):
+        # 600 replicates cross two fixed chunk boundaries; n = 2 has b < 0
+        replicates = 600
+        assert replicates > 2 * SWEEP_CHUNK
+        key = StreamKey(25)
+        a = marginal_gumbel_sweep("scalar", 3, [2, 100, 1000], replicates, key, threads=1)
+        b = marginal_gumbel_sweep("scalar", 3, [2, 100, 1000], replicates, key, threads=4)
+        assert a.values == b.values
+
     def test_bm_baseline(self):
         report = marginal_gumbel_sweep("bm", 1, [100, 1000, 10000], 2000, StreamKey(23))
         assert report.final_value <= 0.10
@@ -157,6 +167,17 @@ class TestMarginalGumbelSweep:
         wins = sum(
             marginal_gumbel_sweep(
                 "bessel", 3, [100, 1000, 10000], 2000, StreamKey(1000 + seed)
+            ).decreasing
+            for seed in range(20)
+        )
+        assert wins >= 18
+
+    def test_scalar_m3_sweep_is_coupled_across_n(self):
+        # every n draws from the chunk's one stream, so the bias decrease
+        # shows per seed as for bessel m = 3
+        wins = sum(
+            marginal_gumbel_sweep(
+                "scalar", 3, [100, 1000, 10000], 2000, StreamKey(1000 + seed)
             ).decreasing
             for seed in range(20)
         )
