@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -148,6 +149,22 @@ class TestExitCodes:
         assert "expected a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "constants --process bessel --m 2 --n 100",
+            "tail-check --m 2 --x 5",
+            "kk-check --ns 1000",
+            "fdd-check --process br --replicates 20",
+        ],
+    )
+    def test_out_of_range_seed_is_usage_error(self, tmp_path, capsys, argv, seed):
+        out = tmp_path / "r.json"
+        assert run(argv.split() + ["--seed", seed, "--out", str(out)]) == 2
+        assert "expected a seed in [0, 2**64 - 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["missing/r.json", ""], ids=["missing-dir", "directory"])
     def test_unwritable_out_is_usage_error_before_sampling(self, monkeypatch, tmp_path, capsys,
                                                            where):
@@ -190,14 +207,41 @@ class TestMarginalSweepCommand:
         assert elapsed < 30.0
 
 
+class TestParser:
+    def test_no_parser_is_built_per_call(self, monkeypatch, tmp_path, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        valid = ["constants", "--process", "bessel", "--n", "100", "--seed", "1"]
+        assert run(valid + ["--out", str(tmp_path / "r.json")]) == 0
+        assert run(["--help"]) == 0
+        assert run(valid + ["--bogus"]) == 2
+        assert built == []
+
+
 class TestDeterminism:
-    def test_same_seed_twice_is_byte_identical(self, tmp_path):
-        argv = [
-            "marginal-sweep", "--process", "bessel", "--m", "3", "--ns", "100,1000",
-            "--replicates", "400", "--seed", "9",
-        ]
-        _, first = run_to_file(tmp_path, "a.json", list(argv))
-        _, second = run_to_file(tmp_path, "b.json", list(argv))
+    # the shared parser hands every call the same default lists (kk-check's
+    # --ns, fdd-check's --times); a usage error between the runs must not
+    # leave state behind either
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "marginal-sweep --process bessel --m 3 --ns 100,1000 --replicates 400 --seed 9",
+            "kk-check --seed 9",
+            "fdd-check --process br --replicates 200 --seed 9",
+        ],
+        ids=["marginal-sweep", "kk-check-default-ns", "fdd-check-br-default-times"],
+    )
+    def test_same_seed_twice_is_byte_identical(self, tmp_path, capsys, argv):
+        argv = argv.split()
+        _, first = run_to_file(tmp_path, "a.json", argv)
+        assert run(argv + ["--bogus"]) == 2
+        _, second = run_to_file(tmp_path, "b.json", argv)
         assert first == second
 
     def test_threads_do_not_change_report(self, tmp_path):
