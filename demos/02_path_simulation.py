@@ -11,23 +11,29 @@ path shown here can be regenerated bit-for-bit.
 
 import numpy as np
 
-from besselbr import StreamKey, make_dyadic_grid, scalar_product_batch, squared_bessel_batch
+from besselbr import (
+    StreamKey,
+    make_dyadic_grid,
+    scalar_product_batch,
+    squared_bessel_batch,
+    time_index,
+)
 
 grid = make_dyadic_grid(6)
 key = StreamKey(20260810)
 
-print(f"grid: {len(grid)} points, spacing {grid.points[1] - grid.points[0]}")
+print(f"grid: {len(grid)} points, spacing {grid[1] - grid[0]}")
 
-bessel = squared_bessel_batch(grid.points, 3, key.with_replicate(1), 1)[0]
-scalar = scalar_product_batch(grid.points, 3, key.with_replicate(2), 1)[0]
+bessel = squared_bessel_batch(grid, 3, key.with_replicate(1), 1)[0]
+scalar = scalar_product_batch(grid, 3, key.with_replicate(2), 1)[0]
 
 print()
 print("one path of each process at t in {0, 0.25, 0.5, 0.75, 1}:")
 for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-    i = grid.index_of(t)
+    i = time_index(grid, t)
     print(f"  t={t:4}: squared-bessel {bessel[i]:8.4f}   scalar-product {scalar[i]:+8.4f}")
 
-again = squared_bessel_batch(grid.points, 3, key.with_replicate(1), 1)[0]
+again = squared_bessel_batch(grid, 3, key.with_replicate(1), 1)[0]
 print()
 print("reproducibility: same key gives identical bytes:", again.tobytes() == bessel.tobytes())
 
@@ -43,7 +49,7 @@ print(f"  scalar-product m=2: mean {terminal_scalar.mean():+.4f} (0),"
 
 print()
 print("pointwise maximum of 5 squared Bessel paths never goes below any of them:")
-rows = squared_bessel_batch(grid.points, 3, key.with_replicate(100), 5)
+rows = squared_bessel_batch(grid, 3, key.with_replicate(100), 5)
 envelope = rows.max(axis=0)
 print("  min over grid of (envelope - path):", float(np.min(envelope - rows)))
 
@@ -57,10 +63,10 @@ try:
     for ax, path, title in zip(
         axes, (bessel, scalar), ("squared Bessel (m=3)", "scalar product (m=3)")
     ):
-        ax.plot(grid.points, path, lw=1.2)
+        ax.plot(grid, path, lw=1.2)
         ax.set_title(title)
         ax.set_xlabel("t")
-    axes[0].plot(grid.points, envelope, lw=1.2, ls="--", label="max of 5 paths")
+    axes[0].plot(grid, envelope, lw=1.2, ls="--", label="max of 5 paths")
     axes[0].legend()
     fig.tight_layout()
     fig.savefig("paths_demo.png", dpi=120)

@@ -21,6 +21,7 @@ from besselbr import (
     make_dyadic_grid,
     sample_br,
     sample_br_batch,
+    time_index,
 )
 from besselbr.stats import ks_statistic
 
@@ -51,7 +52,7 @@ for s, t in ((0.0, 0.1), (0.0, 0.5), (0.0, 1.0)):
 
 print()
 print("empirical joint CDF vs the Husler-Reiss model at (s, t) = (0, 1):")
-pairs = batch[:, [grid.index_of(0.0), grid.index_of(1.0)]]
+pairs = batch[:, [time_index(grid, 0.0), time_index(grid, 1.0)]]
 lam = hr_lambda(0.0, 1.0)
 for x, y in ((-1.0, 0.0), (0.0, 0.0), (1.0, 1.0)):
     empirical = float(np.mean((pairs[:, 0] <= x) & (pairs[:, 1] <= y)))

@@ -96,6 +96,7 @@ from besselbr import (
     make_dyadic_grid,
     marginal_gumbel_sweep,
     sample_br_batch,
+    time_index,
 )
 from besselbr.numerics import QuadratureSpec
 from besselbr.rescale import local_bessel_batch, local_bessel_split_batch
@@ -168,11 +169,11 @@ def pilot_br_selftest(n_seeds):
     for seed in range(n_seeds):
         key = StreamKey(4000 + seed)
         base = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-4), key, 5000)
-        marg = [ks_statistic(base[:, grid.index_of(t)], gumbel_cdf) for t in (0.0, 0.5, 1.0)]
+        marg = [ks_statistic(base[:, time_index(grid, t)], gumbel_cdf) for t in (0.0, 0.5, 1.0)]
         stat = two_sample_ks(base[:, 0], base[:, -1])
         loose = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-3), key.with_substream(10), 5000)
         tight = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), key.with_substream(20), 5000)
-        col = grid.index_of(1.0)
+        col = time_index(grid, 1.0)
         eps = two_sample_ks(loose[:, col], tight[:, col])
         print(
             f"  seed {key.master_seed}: marginal KS {['%.4f' % v for v in marg]} (thr 0.026); "
@@ -232,13 +233,13 @@ def scan_candidate(seed):
     for t in (0.0, 0.5, 1.0):
         record(
             f"br marginal t={t:g}",
-            ks_statistic(base[:, grid.index_of(t)], gumbel_cdf),
+            ks_statistic(base[:, time_index(grid, t)], gumbel_cdf),
             0.026,
         )
     record("br stationarity", two_sample_ks(base[:, 0], base[:, -1]), 0.033)
     loose = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-3), key.with_substream(61), 5000)
     tight = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), key.with_substream(62), 5000)
-    col = grid.index_of(1.0)
+    col = time_index(grid, 1.0)
     record("br eps-insensitivity", two_sample_ks(loose[:, col], tight[:, col]), 0.033)
 
     record("fdd bessel", fdd_check("bessel", 2, (0.0, 1.0), 10000, 2000, key.with_substream(70)), 0.05)
@@ -255,7 +256,7 @@ def scan_candidate(seed):
 
 def pilot_discrimination(replicates=20000):
     banner(f"dependence discrimination at {replicates} replicates")
-    from besselbr import TimeGrid, hr_bivariate_cdf, pair_maxima
+    from besselbr import hr_bivariate_cdf, pair_maxima
     from besselbr.stats import bivariate_cdf_diff
 
     levels = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
@@ -267,8 +268,7 @@ def pilot_discrimination(replicates=20000):
     for process in ("bessel", "scalar"):
         pairs, _ = pair_maxima(process, np.array([0.0, 1.0]), 10000, 2, StreamKey(101), replicates)
         print(f"  {process}: " + ", ".join(f"lambda={l:.3f}: {diff_vs(pairs, l):.4f}" for l in lams))
-    grid = TimeGrid([0.0, 1.0])
-    pairs = sample_br_batch(grid, BRTruncationSpec(), StreamKey(102), replicates, 4)
+    pairs = sample_br_batch([0.0, 1.0], BRTruncationSpec(), StreamKey(102), replicates, 4)
     print("  limit simulator: " + ", ".join(f"lambda={l:.3f}: {diff_vs(pairs, l):.4f}" for l in lams))
     print("  the correct parameterisation should win by a factor of ~3")
 

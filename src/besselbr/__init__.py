@@ -31,10 +31,10 @@ from .numerics import (
 )
 from .paths import (
     SamplePath,
-    TimeGrid,
     make_dyadic_grid,
     scalar_product_batch,
     squared_bessel_batch,
+    time_index,
 )
 from .rescale import (
     NormingConstants,

@@ -4,8 +4,9 @@ The process is M(t) = max_k (X_k + B_k(t) - t/2) over the points {X_k} of a
 Poisson process with intensity e^{-x} dx and independent standard Brownian
 motions B_k.  Its one-dimensional margins are standard Gumbel and its
 bivariate margins are Husler-Reiss with dependence parameter
-lambda = sqrt(|t - s|) / 2.  ``sample_br`` truncates the Poisson series under
-an error budget; ``sample_br_exact`` draws the exact law at the grid points.
+lambda = sqrt(|t - s|) / 2.  Both samplers take a plain array of strictly
+increasing times in [0, 1]: ``sample_br`` truncates the Poisson series under
+an error budget, and ``sample_br_exact`` draws the exact law at the times.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from scipy import special as sc
 
 from .numerics import StreamKey, parallel_map
-from .paths import SamplePath, TimeGrid, _checked_times
+from .paths import SamplePath, _brownian, _checked_times
 
 __all__ = [
     "BRTruncationSpec",
@@ -94,17 +95,19 @@ def _first_stop(x, paths, c_eps):
     return lo
 
 
-def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SamplePath:
-    """One Brown-Resnick path on ``grid`` with truncation error budget ``spec.epsilon``.
+def sample_br(times, spec: BRTruncationSpec, key: StreamKey) -> SamplePath:
+    """One Brown-Resnick path at ``times`` with truncation error budget ``spec.epsilon``.
 
     Poisson points are realised as X_k = -ln(G_k) with G_k the cumulative sums
     of unit-rate exponentials from the substream at ``key.substream_index``;
     the X_k are therefore strictly decreasing.  Brownian increments for all
     point paths come from substream ``key.substream_index + 1``, consumed in
-    point order, so the whole path is a pure function of the key.
+    point order, so the whole path is a pure function of the key.  Each
+    point's path is ``paths._brownian`` at ``times``, whose first increment
+    covers (0, times[0]].
 
     Stopping rule: once the running pointwise maximum has minimum value m*
-    over the grid, a later point at level x < X_k can alter some grid value
+    over the times, a later point at level x < X_k can alter some value
     only if its drifted path satisfies sup_{[0,1]} (B(t) - t/2) > m* - x.
     By the reflection principle P(sup_{[0,1]} B(t) > c) <= 2 (1 - Phi(c)), and
     the drift only lowers the supremum, so generation stops at the first k
@@ -128,9 +131,8 @@ def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SampleP
     wiener = key.with_substream(key.substream_index + 1).generator()
     c_eps = float(sc.ndtri(1.0 - spec.epsilon / 2.0))
 
-    pts = grid.points
+    pts = _checked_times(times, end=1.0)
     drift = -pts / 2.0
-    sq_steps = np.sqrt(np.diff(pts))
 
     levels = np.empty(0)
     gamma = 0.0
@@ -149,29 +151,26 @@ def sample_br(grid: TimeGrid, spec: BRTruncationSpec, key: StreamKey) -> SampleP
         below = np.flatnonzero(levels[done:end] + c_eps < floor)
         if below.size:
             if below[0] == 0:
-                return SamplePath(grid, best)
+                return SamplePath(pts, best)
             end = done + int(below[0])
         x = levels[done:end]
-        z = wiener.standard_normal((x.size, pts.size - 1))
-        paths = np.zeros((x.size, pts.size))
-        z *= sq_steps
-        np.cumsum(z, axis=1, out=paths[:, 1:])
+        paths = _brownian(pts, wiener, (x.size,))
         paths += x[:, None] + drift
         if best is not None:
             paths[0] = np.maximum(best, paths[0])
         i = _first_stop(x, paths, c_eps)
         if i < x.size:
-            return SamplePath(grid, paths[:i].max(axis=0))
+            return SamplePath(pts, paths[:i].max(axis=0))
         best = paths.max(axis=0)
         done = end
     raise TruncationError(
         f"stopping rule did not fire within {spec.max_points} points",
-        SamplePath(grid, best),
+        SamplePath(pts, best),
     )
 
 
 def sample_br_batch(
-    grid: TimeGrid,
+    times,
     spec: BRTruncationSpec,
     key: StreamKey,
     replicates: int,
@@ -188,7 +187,7 @@ def sample_br_batch(
 
     def chunk(c):
         rows = range(c * BR_CHUNK, min(replicates, (c + 1) * BR_CHUNK))
-        return np.vstack([sample_br(grid, spec, key.with_replicate(r)).values for r in rows])
+        return np.vstack([sample_br(times, spec, key.with_replicate(r)).values for r in rows])
 
     return np.concatenate(parallel_map(chunk, -(-replicates // BR_CHUNK), threads))
 
@@ -228,9 +227,7 @@ def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    pts = _checked_times(times)
-    if pts[-1] > 1.0:
-        raise ValueError("times must lie in [0, 1]")
+    pts = _checked_times(times, end=1.0)
     sq_steps = np.sqrt(np.diff(pts))
 
     def chunk(c):

@@ -6,6 +6,10 @@ bias.  The squared Bessel and scalar-product batches are assembled from its
 Brownian coordinates by their defining sums, and every sampler draws all
 coordinates of all rows from the single stream at its key, in C order.  A
 leading time 0 takes no draw: B(0) = 0 is known, so its column is set to 0.
+
+Times are plain float arrays.  :func:`make_dyadic_grid` gives the uniform
+grids the commands use, :func:`time_index` finds a time's column, and
+``_checked_times`` is the one check every sampler applies to its times.
 """
 
 import numpy as np
@@ -13,9 +17,9 @@ import numpy as np
 from .numerics import StreamKey
 
 __all__ = [
-    "TimeGrid",
     "SamplePath",
     "make_dyadic_grid",
+    "time_index",
     "squared_bessel_batch",
     "scalar_product_batch",
 ]
@@ -23,74 +27,55 @@ __all__ = [
 MAX_DYADIC_EXPONENT = 24
 
 
-class TimeGrid:
-    """Strictly increasing evaluation times spanning [0, 1]."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        pts = np.array(points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("a time grid needs at least two points")
-        if pts[0] != 0.0:
-            raise ValueError("time grids start at 0")
-        if pts[-1] != 1.0:
-            raise ValueError("time grids end at 1")
-        if not np.all(np.diff(pts) > 0.0):
-            raise ValueError("grid points must be strictly increasing")
-        pts.flags.writeable = False
-        self.points = pts
-
-    def __len__(self):
-        return self.points.size
-
-    def __repr__(self):
-        return f"TimeGrid({self.points.size} points on [0, 1])"
-
-    def index_of(self, t) -> int:
-        """Position of time ``t``; raises if ``t`` is not exactly a grid point."""
-        idx = int(np.searchsorted(self.points, t))
-        if idx == self.points.size or self.points[idx] != t:
-            raise ValueError(f"{t} is not a grid point")
-        return idx
-
-
 class SamplePath:
-    """One real value per point of a :class:`TimeGrid`."""
+    """One real value per time of ``times``."""
 
-    __slots__ = ("grid", "values")
+    __slots__ = ("times", "values")
 
-    def __init__(self, grid: TimeGrid, values):
+    def __init__(self, times, values):
         vals = np.array(values, dtype=float)
-        if vals.shape != grid.points.shape:
-            raise ValueError("path length must match its grid")
+        if vals.shape != np.shape(times):
+            raise ValueError("path length must match its times")
         if not np.all(np.isfinite(vals)):
             raise ValueError("path values must be finite")
         vals.flags.writeable = False
-        self.grid = grid
+        self.times = times
         self.values = vals
 
     def __repr__(self):
-        return f"SamplePath({self.grid!r})"
+        return f"SamplePath({len(self.times)} times)"
 
 
-def make_dyadic_grid(k: int) -> TimeGrid:
-    """Uniform grid of 2**k + 1 points on [0, 1]."""
+def make_dyadic_grid(k: int) -> np.ndarray:
+    """Read-only uniform grid of 2**k + 1 times on [0, 1]."""
     if k < 0:
         raise ValueError("dyadic exponent must be nonnegative")
     if k > MAX_DYADIC_EXPONENT:
         raise ValueError(
             f"dyadic exponent {k} exceeds the supported maximum {MAX_DYADIC_EXPONENT}"
         )
-    return TimeGrid(np.linspace(0.0, 1.0, 2**k + 1))
+    grid = np.linspace(0.0, 1.0, 2**k + 1)
+    grid.flags.writeable = False
+    return grid
 
 
-def _checked_times(times) -> np.ndarray:
+def time_index(times, t) -> int:
+    """Position of ``t`` in the increasing ``times``; raises if ``t`` is not one of them."""
+    idx = int(np.searchsorted(times, t))
+    if idx == len(times) or times[idx] != t:
+        raise ValueError(f"{t} is not a grid point")
+    return idx
+
+
+def _checked_times(times, end=np.inf) -> np.ndarray:
+    """``times`` as a float array: nonempty, 1-d, strictly increasing, in [0, ``end``]."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-d array")
-    if np.any(times < 0) or not np.all(np.diff(times) > 0):
+    if not (times[0] >= 0.0 and (times[1:] > times[:-1]).all()):
         raise ValueError("times must be nonnegative and strictly increasing")
+    if not times[-1] <= end:
+        raise ValueError(f"times must lie in [0, {end:g}]")
     return times
 
 
@@ -104,8 +89,11 @@ def _brownian(times: np.ndarray, rng: np.random.Generator, shape: tuple) -> np.n
     from the same ``rng``.
     """
     start = int(times[0] == 0.0)
-    z = rng.standard_normal((*shape, times.size - start))
-    z *= np.sqrt(np.diff(times[start:], prepend=0.0))
+    # increments from B(0) = 0: np.diff(..., prepend=0.0) bytes at a quarter of its cost
+    steps = times[start:].copy()
+    steps[1:] -= times[start:-1]
+    z = rng.standard_normal((*shape, steps.size))
+    z *= np.sqrt(steps)
     out = np.zeros((*shape, times.size))
     np.cumsum(z, axis=-1, out=out[..., start:])
     return out

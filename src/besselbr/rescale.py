@@ -233,9 +233,7 @@ def pair_maxima(process: str, ts, n, m: int, key: StreamKey, count: int):
     """
     if process not in ("bessel", "scalar"):
         raise ValueError(f"process must be bessel or scalar, got {process!r}")
-    ts = _checked_times(ts)
-    if not ts[-1] <= 1.0:
-        raise ValueError("pair_maxima needs times in [0, 1]")
+    ts = _checked_times(ts, end=1.0)
     n = int(n)
     b = (bessel_constants if process == "bessel" else scalar_constants)(n, m).b
     clocked = ts[-1] > 0.0  # only a positive time reads the local clock 1 + t/c

@@ -26,7 +26,7 @@ from scipy import special as sc
 
 from .brown_resnick import gumbel_cdf, hr_bivariate_cdf, hr_lambda, sample_br_exact
 from .numerics import StreamKey, parallel_map
-from .paths import _check_dimension
+from .paths import _check_dimension, _checked_times
 from .rescale import bessel_constants, normal_constants, pair_maxima, scalar_constants
 
 __all__ = [
@@ -220,15 +220,10 @@ def fdd_check(
     wall-clock spans ``sample`` and ``statistic`` in milliseconds.
     """
     s, t = times
-    if s == t:
-        raise ValueError("fdd_check needs two distinct times")
-    for u in (s, t):
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"times must lie in [0, 1], got {u}")
+    ts = _checked_times(sorted((s, t)), end=1.0)
     if replicates < 1:
         raise ValueError("replicates must be positive")
 
-    ts = np.array(sorted((s, t)))
     started = time.perf_counter()
     if process == "br":
         pairs, spectral = sample_br_exact(ts, key, replicates, threads)

@@ -14,7 +14,7 @@ import numpy as np
 from besselbr.brown_resnick import BRTruncationSpec, gumbel_cdf
 from besselbr.cli import run
 from besselbr.numerics import QuadratureSpec, StreamKey, integrate
-from besselbr.paths import make_dyadic_grid
+from besselbr.paths import make_dyadic_grid, time_index
 from besselbr.rescale import (
     bessel_constants,
     generic_constants,
@@ -157,11 +157,11 @@ def test_criterion_06_br_simulator_selftests():
     grid = make_dyadic_grid(8)
     batch = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-4), KEY.with_substream(60), 5000)
     marginals = {
-        t: ks_statistic(batch[:, grid.index_of(t)], gumbel_cdf)
+        t: ks_statistic(batch[:, time_index(grid, t)], gumbel_cdf)
         for t in (0.0, 0.5, 1.0)
     }
     stationarity = two_sample_ks(batch[:, 0], batch[:, -1])
-    col = grid.index_of(1.0)
+    col = time_index(grid, 1.0)
     loose = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-3), KEY.with_substream(61), 5000)
     tight = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), KEY.with_substream(62), 5000)
     insensitivity = two_sample_ks(loose[:, col], tight[:, col])

@@ -19,12 +19,12 @@ from besselbr.brown_resnick import (
     sample_br_exact,
 )
 from besselbr.numerics import StreamKey
-from besselbr.paths import SamplePath, TimeGrid, make_dyadic_grid
+from besselbr.paths import SamplePath, make_dyadic_grid, time_index
 from besselbr.stats import bivariate_cdf_diff, ks_statistic, two_sample_ks
 
 
-def _reference_sample_br(grid, spec, key):
-    """The point-by-point loop ``sample_br`` replaced, kept as an oracle.
+def _reference_sample_br(pts, spec, key):
+    """The point-by-point loop ``sample_br`` replaced, kept as an oracle on times from 0.
 
     Returns the path and the number of points it consumed.
     """
@@ -32,7 +32,6 @@ def _reference_sample_br(grid, spec, key):
     wiener = key.with_substream(key.substream_index + 1).generator()
     c_eps = float(sc.ndtri(1.0 - spec.epsilon / 2.0))
 
-    pts = grid.points
     drift = -pts / 2.0
     sq_steps = np.sqrt(np.diff(pts))
 
@@ -48,7 +47,7 @@ def _reference_sample_br(grid, spec, key):
             gamma += expo[i]
             x = -math.log(gamma)
             if x + c_eps < floor:
-                return SamplePath(grid, best), produced
+                return SamplePath(pts, best), produced
             contribution = np.empty(pts.size)
             contribution[0] = 0.0
             np.cumsum(z[i] * sq_steps, out=contribution[1:])
@@ -58,7 +57,7 @@ def _reference_sample_br(grid, spec, key):
             produced += 1
     raise TruncationError(
         f"stopping rule did not fire within {spec.max_points} points",
-        SamplePath(grid, best),
+        SamplePath(pts, best),
     )
 
 
@@ -215,7 +214,7 @@ class TestSampleBR:
         single = sample_br_batch(grid, spec, key, 250, threads=1)
         pooled = sample_br_batch(grid, spec, key, 250, threads=3)
         rows = np.vstack([sample_br(grid, spec, key.with_replicate(r)).values for r in range(250)])
-        assert single.shape == (250, grid.points.size)
+        assert single.shape == (250, grid.size)
         assert single.tobytes() == pooled.tobytes() == rows.tobytes()
 
     def test_point_budget_exhaustion(self):
@@ -232,7 +231,7 @@ class TestSampleBR:
                 with pytest.raises(TruncationError) as ref:
                     _reference_sample_br(grid, spec, StreamKey(6))
                 partial = err.value.partial
-                assert partial.values.shape == grid.points.shape
+                assert partial.values.shape == grid.shape
                 assert partial.values.tobytes() == ref.value.partial.values.tobytes(), (k, max_points)
 
     def test_budget_that_ends_at_the_stop_still_raises(self):
@@ -281,7 +280,7 @@ class TestSampleBR:
     def test_marginals_are_gumbel(self, br_batch_k4):
         grid, batch = br_batch_k4
         for t in (0.0, 0.5, 1.0):
-            ks = ks_statistic(batch[:, grid.index_of(t)], gumbel_cdf)
+            ks = ks_statistic(batch[:, time_index(grid, t)], gumbel_cdf)
             assert ks <= 0.026
 
     def test_stationarity(self, br_batch_k4):
@@ -292,7 +291,7 @@ class TestSampleBR:
     def test_max_stability_of_marginals(self, br_batch_k4):
         # max of two independent copies minus ln 2 is again Gumbel
         grid, batch = br_batch_k4
-        col = grid.index_of(1.0)
+        col = time_index(grid, 1.0)
         other = sample_br_batch(
             grid, BRTruncationSpec(epsilon=1e-4), StreamKey(2027), 5000
         )[:, col]
@@ -305,7 +304,7 @@ class TestSampleBR:
 
     def test_agrees_with_hr_bivariate(self, br_batch_k4):
         grid, batch = br_batch_k4
-        pairs = batch[:, [grid.index_of(0.0), grid.index_of(1.0)]]
+        pairs = batch[:, [time_index(grid, 0.0), time_index(grid, 1.0)]]
         lam = hr_lambda(0.0, 1.0)
         worst = 0.0
         for x in (-1.0, 0.0, 1.0):
@@ -314,9 +313,19 @@ class TestSampleBR:
                 worst = max(worst, abs(emp - hr_bivariate_cdf(x, y, lam)))
         assert worst <= 0.04  # 5000 replicates; the acceptance suite re-runs this at 1e4
 
+    def test_times_after_zero_match_exact_sampler_in_law(self):
+        # the first Wiener increment covers (0, 0.25]: every column and one increment
+        # against the exact sampler
+        times = [0.25, 0.5, 0.75]
+        batch = sample_br_batch(times, BRTruncationSpec(), StreamKey(2032), 5000)
+        exact, _ = sample_br_exact(times, StreamKey(2033), 5000)
+        statistics = [two_sample_ks(batch[:, j], exact[:, j]) for j in range(len(times))]
+        statistics.append(two_sample_ks(batch[:, 2] - batch[:, 0], exact[:, 2] - exact[:, 0]))
+        assert max(statistics) <= 0.033
+
     def test_epsilon_insensitivity_quick(self):
         grid = make_dyadic_grid(4)
-        col = grid.index_of(1.0)
+        col = time_index(grid, 1.0)
         loose = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-3), StreamKey(2030), 2000)[:, col]
         tight = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2031), 2000)[:, col]
         assert two_sample_ks(loose, tight) <= 0.052
@@ -329,31 +338,31 @@ class TestSampleBRExact:
         assert replicates > 2 * EXACT_CHUNK
         grid = make_dyadic_grid(2)
         key = StreamKey(2050)
-        paths, spectral = sample_br_exact(grid.points, key, replicates, threads=1)
-        again, again_spectral = sample_br_exact(grid.points, key, replicates, threads=1)
-        pooled, pooled_spectral = sample_br_exact(grid.points, key, replicates, threads=3)
-        assert paths.shape == (replicates, grid.points.size) and spectral.shape == (replicates,)
+        paths, spectral = sample_br_exact(grid, key, replicates, threads=1)
+        again, again_spectral = sample_br_exact(grid, key, replicates, threads=1)
+        pooled, pooled_spectral = sample_br_exact(grid, key, replicates, threads=3)
+        assert paths.shape == (replicates, grid.size) and spectral.shape == (replicates,)
         assert paths.tobytes() == again.tobytes() == pooled.tobytes()
         assert spectral.tobytes() == again_spectral.tobytes() == pooled_spectral.tobytes()
         assert np.all(np.isfinite(paths)) and spectral.min() >= 1
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
-            sample_br_exact(make_dyadic_grid(1).points, StreamKey(1), 0)
+            sample_br_exact(make_dyadic_grid(1), StreamKey(1), 0)
 
     def test_marginals_are_gumbel(self):
         grid = make_dyadic_grid(3)
-        paths, _ = sample_br_exact(grid.points, StreamKey(2051), 5000)
-        for j in range(grid.points.size):
+        paths, _ = sample_br_exact(grid, StreamKey(2051), 5000)
+        for j in range(grid.size):
             assert ks_statistic(paths[:, j], gumbel_cdf) <= 0.026, j
 
     def test_pairs_agree_with_hr_bivariate(self):
-        grid = TimeGrid([0.0, 0.25, 0.75, 1.0])
-        paths, _ = sample_br_exact(grid.points, StreamKey(2052), 5000)
+        grid = np.array([0.0, 0.25, 0.75, 1.0])
+        paths, _ = sample_br_exact(grid, StreamKey(2052), 5000)
         levels = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
         for a in range(4):
             for b in range(a + 1, 4):
-                lam = hr_lambda(grid.points[a], grid.points[b])
+                lam = hr_lambda(grid[a], grid[b])
                 diff = bivariate_cdf_diff(
                     paths[:, [a, b]], lambda x, y: hr_bivariate_cdf(x, y, lam), levels
                 )
@@ -364,9 +373,9 @@ class TestSampleBRExact:
         # the epsilon sampler at a tight budget is the oracle: every column, the
         # path supremum and one increment must agree by two-sample KS
         grid = make_dyadic_grid(3)
-        exact, _ = sample_br_exact(grid.points, StreamKey(2053), 5000)
+        exact, _ = sample_br_exact(grid, StreamKey(2053), 5000)
         oracle = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2054), 5000)
-        statistics = [two_sample_ks(exact[:, j], oracle[:, j]) for j in range(grid.points.size)]
+        statistics = [two_sample_ks(exact[:, j], oracle[:, j]) for j in range(grid.size)]
         statistics.append(two_sample_ks(exact.max(axis=1), oracle.max(axis=1)))
         statistics.append(two_sample_ks(exact[:, 6] - exact[:, 2], oracle[:, 6] - oracle[:, 2]))
         assert max(statistics) <= 0.033  # the two-sample gate of test_stationarity
@@ -375,9 +384,9 @@ class TestSampleBRExact:
         # 33 points: proposals at late grid indices walk back through the
         # blocks of 1, 4 and 16 steps and then the rest
         grid = make_dyadic_grid(5)
-        exact, _ = sample_br_exact(grid.points, StreamKey(2056), 5000)
+        exact, _ = sample_br_exact(grid, StreamKey(2056), 5000)
         oracle = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2057), 5000)
-        statistics = [two_sample_ks(exact[:, j], oracle[:, j]) for j in range(grid.points.size)]
+        statistics = [two_sample_ks(exact[:, j], oracle[:, j]) for j in range(grid.size)]
         statistics.append(two_sample_ks(exact.max(axis=1), oracle.max(axis=1)))
         statistics.append(two_sample_ks(exact[:, 28] - exact[:, 4], oracle[:, 28] - oracle[:, 4]))
         assert max(statistics) <= 0.033
@@ -386,9 +395,9 @@ class TestSampleBRExact:
         # 257 points: a walk that resumed from the wrong point after the
         # 4-step block moved the t = 1 column by about 0.027 in KS
         grid = make_dyadic_grid(8)
-        paths, _ = sample_br_exact(grid.points, StreamKey(2059), 5000)
+        paths, _ = sample_br_exact(grid, StreamKey(2059), 5000)
         for t in (0.0, 0.5, 1.0):
-            assert ks_statistic(paths[:, grid.index_of(t)], gumbel_cdf) <= 0.026, t
+            assert ks_statistic(paths[:, time_index(grid, t)], gumbel_cdf) <= 0.026, t
 
     def test_rejected_proposals_draw_few_normals(self, monkeypatch):
         # an eager walk draws the whole 257-point path for each of about 250
@@ -409,13 +418,13 @@ class TestSampleBRExact:
 
         generator = StreamKey.generator
         monkeypatch.setattr(StreamKey, "generator", lambda key: Counting(generator(key)))
-        paths, _ = sample_br_exact(make_dyadic_grid(8).points, StreamKey(2058), 1000)
+        paths, _ = sample_br_exact(make_dyadic_grid(8), StreamKey(2058), 1000)
         assert np.all(np.isfinite(paths))
         assert sum(drawn) < 2000 * 1000
 
     @pytest.mark.parametrize(
         "times",
-        [[0.0, 1.0], make_dyadic_grid(3).points, [0.25, 0.75]],
+        [[0.0, 1.0], make_dyadic_grid(3), [0.25, 0.75]],
         ids=["2pt", "k3", "interior"],
     )
     def test_spectral_functions_average_one_per_grid_point(self, times):

@@ -89,6 +89,31 @@ class TestTailCheckCommand:
         assert not out.exists()
 
 
+class TestReportContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "constants --process bessel --m 2 --n 100",
+            "tail-check --process scalar --m 3 --x 30",
+            "kk-check --m 2 --ns 1000,10000",
+            "marginal-sweep --process bm --ns 100,1000 --replicates 200",
+            "fdd-check --process br --replicates 200",
+            "br-sample --grid-k 2",
+            "br-selftest --grid-k 2 --replicates 50",
+        ],
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_gated_rows_pass_when_value_is_within_threshold(self, tmp_path, argv):
+        # a row that carries a threshold and a verdict passes exactly when its value is at most it
+        code, raw = run_to_file(tmp_path, "r.json", argv.split() + ["--seed", "3"])
+        assert code in (0, 1)
+        gated = [row for row in json.loads(raw)["results"]
+                 if row["threshold"] is not None and row["passed"] is not None]
+        for row in gated:
+            assert row["passed"] == (row["value"] <= row["threshold"]), row
+        assert gated or argv.startswith(("constants", "br-sample"))
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["constants", "--process", "bessel", "--n", "10", "--seed", "1", "--bogus"]) == 2
@@ -267,7 +292,9 @@ class TestFormats:
         lines = raw.decode().strip().splitlines()
         assert lines[0] == "statistic,value,threshold,passed"
         assert lines[1].startswith("exact_tail,")
-        assert any(line.startswith("ratio,") and line.endswith(",true") for line in lines)
+        assert any(line.startswith("ratio,") and line.endswith(",,") for line in lines)
+        assert any(line.startswith("ratio_error,") and line.endswith(",0.050000000000000003,true")
+                   for line in lines)
 
     def test_stdout_when_no_out(self, capsys):
         code = run(["constants", "--process", "bessel", "--m", "2", "--n", "10", "--seed", "1"])

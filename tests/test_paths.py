@@ -4,33 +4,36 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
+from besselbr.brown_resnick import BRTruncationSpec, sample_br, sample_br_exact
 from besselbr.numerics import StreamKey
 from besselbr.paths import (
     SamplePath,
-    TimeGrid,
     _brownian,
     make_dyadic_grid,
     scalar_product_batch,
     squared_bessel_batch,
+    time_index,
 )
-from besselbr.stats import ks_statistic, two_sample_ks
+from besselbr.rescale import pair_maxima
+from besselbr.stats import fdd_check, ks_statistic, two_sample_ks
 
 N_REPLICATES = 10**5
 KS_1PCT = 0.006  # one-sample band at N = 1e5: 1% critical 1.63/sqrt(N) ~ 0.0052
 TWO_SAMPLE_1PCT_1E4 = 0.024  # 1.63*sqrt(2/N) at N = 1e4 ~ 0.0231
 
 
-class TestTimeGrid:
+class TestDyadicGrid:
     def test_dyadic_k0(self):
-        assert np.array_equal(make_dyadic_grid(0).points, [0.0, 1.0])
+        assert np.array_equal(make_dyadic_grid(0), [0.0, 1.0])
 
     def test_dyadic_k1(self):
-        assert np.array_equal(make_dyadic_grid(1).points, [0.0, 0.5, 1.0])
+        assert np.array_equal(make_dyadic_grid(1), [0.0, 0.5, 1.0])
 
     def test_dyadic_k3(self):
         grid = make_dyadic_grid(3)
         assert len(grid) == 9
-        assert np.allclose(np.diff(grid.points), 0.125, rtol=0, atol=0)
+        assert np.allclose(np.diff(grid), 0.125, rtol=0, atol=0)
+        assert not grid.flags.writeable
 
     def test_dyadic_limits(self):
         with pytest.raises(ValueError):
@@ -38,25 +41,43 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             make_dyadic_grid(-1)
 
-    @pytest.mark.parametrize(
-        "points",
-        [
-            [0.0],
-            [0.1, 0.5, 1.0],
-            [0.0, 0.5, 0.9],
-            [0.0, 0.5, 0.5, 1.0],
-            [0.0, 0.7, 0.6, 1.0],
-        ],
-    )
-    def test_invalid_grids(self, points):
-        with pytest.raises(ValueError):
-            TimeGrid(points)
-
-    def test_index_of(self):
+    def test_time_index(self):
         grid = make_dyadic_grid(2)
-        assert grid.index_of(0.5) == 2
-        with pytest.raises(ValueError):
-            grid.index_of(0.3)
+        assert time_index(grid, 0.5) == 2
+        assert time_index(grid, 0.0) == 0 and time_index(grid, 1.0) == 4
+        for t in (0.3, 1.5):
+            with pytest.raises(ValueError, match=f"{t} is not a grid point"):
+                time_index(grid, t)
+
+
+_WINDOW_SAMPLERS = {
+    "sample_br": lambda ts: sample_br(ts, BRTruncationSpec(), StreamKey(1)),
+    "sample_br_exact": lambda ts: sample_br_exact(ts, StreamKey(1), 10),
+    "pair_maxima": lambda ts: pair_maxima("bessel", ts, 100, 2, StreamKey(1), 10),
+    "fdd_check": lambda ts: fdd_check("br", 2, ts, 100, 10, StreamKey(1)),
+}
+_INVALID_TIMES = {
+    "empty": [],
+    "negative": [-0.5, 0.5],
+    "repeated": [0.5, 0.5],
+    "decreasing": [0.75, 0.25],
+    "above-1": [0.5, 1.5],
+    "nan": [0.5, math.nan],
+}
+
+
+@pytest.mark.parametrize(
+    "sampler, times",
+    [
+        pytest.param(sampler, times, id=f"{sampler}-{case}")
+        for sampler in _WINDOW_SAMPLERS
+        for case, times in _INVALID_TIMES.items()
+        if (sampler, case) != ("fdd_check", "decreasing")  # fdd_check orders its two times
+    ],
+)
+def test_times_outside_the_window_are_rejected(sampler, times):
+    with pytest.raises(ValueError):
+        _WINDOW_SAMPLERS[sampler](times)
 
 
 class TestSamplePath:
@@ -73,13 +94,13 @@ class TestSamplePath:
 def bm_endpoints():
     # values at t in {0, 0.5, 1} across many replicates, reused by the
     # distributional tests below
-    times = TimeGrid([0.0, 0.5, 1.0]).points
+    times = np.array([0.0, 0.5, 1.0])
     return _brownian(times, StreamKey(101).generator(), (N_REPLICATES,))
 
 
 class TestBrownianMotion:
     def test_starts_at_zero(self):
-        path = _brownian(make_dyadic_grid(4).points, StreamKey(3).generator(), ())
+        path = _brownian(make_dyadic_grid(4), StreamKey(3).generator(), ())
         assert path[0] == 0.0
 
     def test_terminal_value_is_standard_normal(self, bm_endpoints):
@@ -91,7 +112,7 @@ class TestBrownianMotion:
         assert abs(bm_endpoints[:, 1].var() - 0.5) <= 0.01
 
     def test_determinism(self):
-        times = make_dyadic_grid(5).points
+        times = make_dyadic_grid(5)
         key = StreamKey(55, replicate_index=4)
         first = _brownian(times, key.generator(), ())
         assert first.tobytes() == _brownian(times, key.generator(), ()).tobytes()
@@ -124,7 +145,7 @@ def bessel_terminal_m2():
 
 class TestSquaredBessel:
     def test_starts_at_zero_and_nonnegative(self):
-        path = squared_bessel_batch(make_dyadic_grid(4).points, 3, StreamKey(9), 1)[0]
+        path = squared_bessel_batch(make_dyadic_grid(4), 3, StreamKey(9), 1)[0]
         assert path[0] == 0.0
         assert np.all(path >= 0.0)
 
@@ -134,7 +155,7 @@ class TestSquaredBessel:
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            squared_bessel_batch(make_dyadic_grid(1).points, 0, StreamKey(1), 1)
+            squared_bessel_batch(make_dyadic_grid(1), 0, StreamKey(1), 1)
 
 
 def _laplace_cdf(x):
@@ -149,7 +170,7 @@ def scalar_terminal_m2():
 
 class TestScalarProduct:
     def test_starts_at_zero(self):
-        path = scalar_product_batch(make_dyadic_grid(3).points, 2, StreamKey(4), 1)[0]
+        path = scalar_product_batch(make_dyadic_grid(3), 2, StreamKey(4), 1)[0]
         assert path[0] == 0.0
 
     def test_m2_terminal_is_laplace(self, scalar_terminal_m2):
@@ -164,8 +185,8 @@ class TestScalarProduct:
         # pointwise 4-sigma band; sd of the mean at time t is t sqrt(m/N)
         grid = make_dyadic_grid(4)
         n = 20000
-        means = scalar_product_batch(grid.points, 2, StreamKey(404), n).mean(axis=0)
-        bands = 4.0 * grid.points * math.sqrt(2.0 / n)
+        means = scalar_product_batch(grid, 2, StreamKey(404), n).mean(axis=0)
+        bands = 4.0 * grid * math.sqrt(2.0 / n)
         assert np.all(np.abs(means) <= np.maximum(bands, 1e-12))
 
 
@@ -176,9 +197,9 @@ class TestGridRefinement:
         # increment over (0.5, 1]
         fine, coarse = make_dyadic_grid(4), make_dyadic_grid(3)
         n = 10**4
-        f = _brownian(fine.points, StreamKey(70).generator(), (n,))
-        c = _brownian(coarse.points, StreamKey(71).generator(), (n,))
-        f_half, c_half = f[:, fine.index_of(0.5)], c[:, coarse.index_of(0.5)]
+        f = _brownian(fine, StreamKey(70).generator(), (n,))
+        c = _brownian(coarse, StreamKey(71).generator(), (n,))
+        f_half, c_half = f[:, time_index(fine, 0.5)], c[:, time_index(coarse, 0.5)]
         assert two_sample_ks(f_half, c_half) <= TWO_SAMPLE_1PCT_1E4
         assert two_sample_ks(f[:, -1] - f_half, c[:, -1] - c_half) <= TWO_SAMPLE_1PCT_1E4
 
@@ -193,6 +214,6 @@ class TestDeterminism:
         ],
     )
     def test_identical_key_identical_bytes(self, sampler):
-        times = make_dyadic_grid(4).points
+        times = make_dyadic_grid(4)
         key = StreamKey(99, replicate_index=7)
         assert sampler(times, key).tobytes() == sampler(times, key).tobytes()

@@ -184,7 +184,7 @@ class TestLocalBessel:
         assert ks <= KS_1PCT
 
     def test_determinism(self):
-        ts = make_dyadic_grid(3).points
+        ts = make_dyadic_grid(3)
         key = StreamKey(31, replicate_index=2)
         a = local_bessel_batch(ts, 1000, 2, key, 8)
         b = local_bessel_batch(ts, 1000, 2, key, 8)
@@ -200,7 +200,7 @@ class TestLocalScalar:
         assert ks_statistic(recovered, cdf) <= KS_1PCT
 
     def test_determinism(self):
-        ts = make_dyadic_grid(2).points
+        ts = make_dyadic_grid(2)
         key = StreamKey(41)
         a = local_scalar_batch(ts, 500, 2, key, 8)
         b = local_scalar_batch(ts, 500, 2, key, 8)
