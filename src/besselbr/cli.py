@@ -6,8 +6,8 @@ report that is a pure function of its flags: reruns and different
 therefore printed to stderr and only embedded in the report when explicitly
 requested with ``--emit-timings``.
 
-Exit codes: 0 all configured thresholds met, 1 a threshold failed, 2 usage
-error.
+Exit codes: 0 all row verdicts pass, 1 a row verdict failed, 2 usage error.
+The report's verdict is derived from its rows, never declared by a command.
 """
 
 import argparse
@@ -101,12 +101,13 @@ def _write_atomic(path: str, text: str):
 
 
 def _result(statistic: str, value: float, threshold=None, passed=None) -> dict:
-    return {
-        "statistic": statistic,
-        "value": float(value),
-        "threshold": None if threshold is None else float(threshold),
-        "passed": passed,
-    }
+    # a gated row passes exactly when its value is at most its threshold; only
+    # an ungated row may state its own verdict
+    value = float(value)
+    if threshold is not None:
+        threshold = float(threshold)
+        passed = value <= threshold
+    return {"statistic": statistic, "value": value, "threshold": threshold, "passed": passed}
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +251,9 @@ _PARSER = build_parser()
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (return (passed, result rows, extra report fields); an
-# extra "timings_ms" entry holds per-stage wall-clock spans, see ``run``)
+# subcommand handlers (return (result rows, extra report fields); ``run``
+# derives the verdict from the rows, and an extra "timings_ms" entry holds
+# per-stage wall-clock spans)
 
 
 def _cmd_constants(args):
@@ -260,7 +262,7 @@ def _cmd_constants(args):
     else:
         family = bessel_constants if args.process == "bessel" else scalar_constants
         consts = family(args.n, args.m)
-    return True, [_result("a", consts.a), _result("b", consts.b)], {}
+    return [_result("a", consts.a), _result("b", consts.b)], {}
 
 
 def _cmd_tail_check(args):
@@ -276,15 +278,13 @@ def _cmd_tail_check(args):
     if exact == 0.0:
         raise ValueError(f"exact tail underflows to 0 at x = {args.x}")
     ratio = asymptotic / exact
-    ratio_error = abs(ratio - 1.0)
-    ok = ratio_error <= args.threshold
     rows = [
         _result("exact_tail", exact),
         _result("asymptotic_tail", asymptotic),
         _result("ratio", ratio),
-        _result("ratio_error", ratio_error, threshold=args.threshold, passed=ok),
+        _result("ratio_error", abs(ratio - 1.0), threshold=args.threshold),
     ]
-    return ok, rows, {}
+    return rows, {}
 
 
 def _cmd_kk_check(args):
@@ -298,10 +298,11 @@ def _cmd_kk_check(args):
     )
     rows = [_result(f"kk_integral_n_{n}", v) for n, v in zip(args.ns, sequence)]
     first, top = sequence[0], max(sequence)
-    ok = top <= args.bound_factor * first if first > 0 else top == 0.0
+    if first == 0.0 and top > 0.0:
+        raise ValueError(f"kk integral is 0 at the first n = {args.ns[0]}: max/first is undefined")
     rows.append(_result("kk_max_over_first", top / first if first > 0 else 0.0,
-                        threshold=args.bound_factor, passed=ok))
-    return ok, rows, {}
+                        threshold=args.bound_factor))
+    return rows, {}
 
 
 def _cmd_marginal_sweep(args):
@@ -314,15 +315,10 @@ def _cmd_marginal_sweep(args):
         threads=args.threads,
     )
     rows = [_result(f"ks_gumbel_n_{n}", v) for n, v in zip(report.ns, report.values)]
-    decreasing_ok = report.decreasing or args.allow_nonmonotone
-    rows.append(
-        _result("ks_decreasing", 1.0 if report.decreasing else 0.0, passed=decreasing_ok)
-    )
-    final_ok = report.final_value <= args.threshold
-    rows.append(
-        _result("ks_final", report.final_value, threshold=args.threshold, passed=final_ok)
-    )
-    return decreasing_ok and final_ok, rows, {}
+    rows.append(_result("ks_decreasing", 1.0 if report.decreasing else 0.0,
+                        passed=report.decreasing or args.allow_nonmonotone))
+    rows.append(_result("ks_final", report.final_value, threshold=args.threshold))
+    return rows, {}
 
 
 def _cmd_fdd_check(args):
@@ -343,10 +339,9 @@ def _cmd_fdd_check(args):
         diagnostics=diagnostics,
         timings=spans,
     )
-    ok = diff <= threshold
-    rows = [_result("fdd_sup_diff", diff, threshold=threshold, passed=ok)]
+    rows = [_result("fdd_sup_diff", diff, threshold=threshold)]
     rows += [_result(name, value) for name, value in diagnostics.items()]
-    return ok, rows, {"timings_ms": spans}
+    return rows, {"timings_ms": spans}
 
 
 def _cmd_br_sample(args):
@@ -363,7 +358,7 @@ def _cmd_br_sample(args):
             "values": [float(v) for v in path.values],
         }
     }
-    return True, rows, extra
+    return rows, extra
 
 
 def _cmd_br_selftest(args):
@@ -381,37 +376,19 @@ def _cmd_br_selftest(args):
         return paths
 
     base = batch("base", args.epsilon, key)
-    rows = []
-    ok = True
-    for t, column in columns.items():
-        ks = ks_statistic(base[:, column], gumbel_cdf)
-        good = ks <= args.marginal_threshold
-        ok = ok and good
-        rows.append(
-            _result(f"ks_marginal_t_{t:g}", ks, threshold=args.marginal_threshold, passed=good)
-        )
-
+    rows = [
+        _result(f"ks_marginal_t_{t:g}", ks_statistic(base[:, column], gumbel_cdf),
+                threshold=args.marginal_threshold)
+        for t, column in columns.items()
+    ]
     stationarity = two_sample_ks(base[:, columns[0.0]], base[:, columns[1.0]])
-    good = stationarity <= args.two_sample_threshold
-    ok = ok and good
-    rows.append(
-        _result("ks_stationarity", stationarity, threshold=args.two_sample_threshold, passed=good)
-    )
+    rows.append(_result("ks_stationarity", stationarity, threshold=args.two_sample_threshold))
 
     loose = batch("loose", 1e-3, key.with_substream(10))[:, columns[1.0]]
     tight = batch("tight", 1e-6, key.with_substream(20))[:, columns[1.0]]
-    insensitivity = two_sample_ks(loose, tight)
-    good = insensitivity <= args.two_sample_threshold
-    ok = ok and good
-    rows.append(
-        _result(
-            "ks_epsilon_insensitivity",
-            insensitivity,
-            threshold=args.two_sample_threshold,
-            passed=good,
-        )
-    )
-    return ok, rows, {"timings_ms": spans}
+    rows.append(_result("ks_epsilon_insensitivity", two_sample_ks(loose, tight),
+                        threshold=args.two_sample_threshold))
+    return rows, {"timings_ms": spans}
 
 
 _HANDLERS = {
@@ -461,8 +438,8 @@ def argv_from_config(command: str, config: dict) -> list[str]:
 def run(argv=None) -> int:
     """Parse ``argv``, run the subcommand, write/print the report.
 
-    Returns 0 when all configured thresholds pass, 1 on a threshold failure,
-    2 on usage errors.
+    Returns 0 when every row verdict passes, 1 when one fails, 2 on usage
+    errors.
     """
     started = time.perf_counter()  # the total covers parsing and the --out check too
     try:
@@ -476,11 +453,12 @@ def run(argv=None) -> int:
         return 2
 
     try:
-        passed, rows, extra = _HANDLERS[args.command](args)
+        rows, extra = _HANDLERS[args.command](args)
     except (ValueError, OverflowError, TruncationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = 1000.0 * (time.perf_counter() - started)
+    passed = all(row["passed"] is not False for row in rows)  # ungated rows carry None
 
     report = {
         "schema": SCHEMA,

@@ -75,21 +75,25 @@ class TestTailCheckCommand:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--process", "scalar", "--m", "2", "--x", "800"], "underflows"),
-            (["--process", "bessel", "--m", "2", "--x", "2000"], "underflows"),
-            (["--process", "scalar", "--m", "3", "--x", "800"], "underflows"),
-            (["--process", "bessel", "--x", "-1"], "x >= 0"),
+            ("tail-check --process scalar --m 2 --x 800", "underflows"),
+            ("tail-check --process bessel --m 2 --x 2000", "underflows"),
+            ("tail-check --process scalar --m 3 --x 800", "underflows"),
+            ("tail-check --process bessel --x -1", "x >= 0"),
+            # the window of n = 50 is empty, so max/first has no value
+            ("kk-check --ns 50,1000", "0 at the first n = 50"),
         ],
-        ids=["scalar-m2", "bessel-m2", "scalar-m3", "negative-x"],
+        ids=["scalar-m2", "bessel-m2", "scalar-m3", "negative-x", "kk-empty-first-window"],
     )
     def test_unevaluable_point_is_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "t.json"
-        assert run(["tail-check", *argv, "--seed", "1", "--out", str(out)]) == 2
+        assert run(argv.split() + ["--seed", "1", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
 
 class TestReportContract:
+    FAILING = "tail-check --process bessel --m 3 --x 5"  # ratio_error 0.15 > 0.05
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -100,18 +104,23 @@ class TestReportContract:
             "fdd-check --process br --replicates 200",
             "br-sample --grid-k 2",
             "br-selftest --grid-k 2 --replicates 50",
+            pytest.param(FAILING, id="tail-check-failing"),
         ],
         ids=lambda argv: argv.split()[0],
     )
     def test_gated_rows_pass_when_value_is_within_threshold(self, tmp_path, argv):
-        # a row that carries a threshold and a verdict passes exactly when its value is at most it
+        # a row that carries a threshold and a verdict passes exactly when its value is at most
+        # it, and the report passes, and exits 0, exactly when every row verdict passes
         code, raw = run_to_file(tmp_path, "r.json", argv.split() + ["--seed", "3"])
-        assert code in (0, 1)
-        gated = [row for row in json.loads(raw)["results"]
+        report = json.loads(raw)
+        gated = [row for row in report["results"]
                  if row["threshold"] is not None and row["passed"] is not None]
         for row in gated:
             assert row["passed"] == (row["value"] <= row["threshold"]), row
         assert gated or argv.startswith(("constants", "br-sample"))
+        assert report["passed"] == all(row["passed"] is not False for row in report["results"])
+        assert code == (0 if report["passed"] else 1)
+        assert argv != self.FAILING or code == 1
 
 
 class TestExitCodes:
@@ -230,6 +239,22 @@ class TestMarginalSweepCommand:
         values = {row["statistic"]: row["value"] for row in rows}
         assert code == 0 and values["ks_gumbel_n_100000000"] < values["ks_gumbel_n_100"]
         assert elapsed < 30.0
+
+    def test_allow_nonmonotone_waives_only_the_decreasing_verdict(self, tmp_path):
+        # at this seed the sweep does not decrease; its final KS is within the threshold
+        argv = ["marginal-sweep", "--process", "bessel", "--m", "2", "--ns", "100,1000,10000",
+                "--replicates", "2000", "--seed", "5"]
+        strict_code, strict = run_to_file(tmp_path, "strict.json", argv)
+        waived_code, waived = run_to_file(tmp_path, "waived.json", argv + ["--allow-nonmonotone"])
+        strict, waived = json.loads(strict), json.loads(waived)
+        assert (strict_code, waived_code) == (1, 0)
+        assert waived["config"]["allow_nonmonotone"] and not strict["config"]["allow_nonmonotone"]
+        flipped = {"statistic": "ks_decreasing", "value": 0.0, "threshold": None}
+        for before, after in zip(strict["results"], waived["results"], strict=True):
+            if before["statistic"] == "ks_decreasing":
+                assert before == {**flipped, "passed": False} and after == {**flipped, "passed": True}
+            else:
+                assert before == after
 
 
 class TestParser:
