@@ -154,11 +154,12 @@ def local_bessel_split_batch(ts, n, m: int, key: StreamKey, count: int) -> np.nd
 
 def _split_rescaled(b1, bstar, c, ts):
     # (|b1 + bstar/sqrt(c)|^2 - c - ts) / 2 for b1 (rows, m) at time 1 and
-    # bstar (rows, m, times) in the local clock, as X + R(t) - t/2 + delta(t)
+    # bstar (rows, m, times) in the local clock, as X + R(t) - t/2 + delta(t);
+    # b1 may hold only the first columns, the rest of B(1) being 0
     x = (np.einsum("ij,ij->i", b1, b1) - c) / 2.0
     if not ts[-1] > 0.0:  # bstar is 0 at t = 0, and c may then be any real
         return x[:, None] - ts / 2.0
-    r = np.einsum("ij,ijk->ik", b1, bstar) / math.sqrt(c)
+    r = np.einsum("ij,ijk->ik", b1, bstar[:, : b1.shape[1]]) / math.sqrt(c)
     delta = np.einsum("ijk,ijk->ik", bstar, bstar) / (2.0 * c)
     return x[:, None] + r - ts / 2.0 + delta
 
@@ -197,7 +198,7 @@ def pair_maxima(process: str, ts, n, m: int, key: StreamKey, count: int):
     subtracted D term is |D(1 + t/c)|^2 / 2.  The
     levels are the top order statistics of n chi-square(m) draws, exact in
     log space: log F(Q_{k+1}) = log F(Q_k) + log(U)/(n - k), then
-    Q = 2 gammainccinv(m/2, 1 - F(Q)).
+    Q = 2 gammainccinv(m/2, 1 - F(Q)), which is -2 log(1 - F(Q)) at m = 2.
 
     Stopping: in both families Y(t) <= ((sqrt(Q) + |W(t)|/sqrt(c))^2 - c - t)/2,
     since the scalar family's D term only lowers Y, so with M_t the running
@@ -253,9 +254,8 @@ def pair_maxima(process: str, ts, n, m: int, key: StreamKey, count: int):
         steps = np.log1p(-rng.random((rows, take))) / (n - k)
         ell = log_cdf[active, None] + np.cumsum(steps, axis=1)
         surv = -np.expm1(ell)
-        level = 2.0 * sc.gammainccinv(m / 2.0, surv)
-        b1 = np.zeros((rows * take, m))
-        b1[:, 0] = np.sqrt(level).ravel()
+        level = _chi2_level(m, surv)
+        b1 = np.sqrt(level).reshape(-1, 1)  # sqrt(Q) e_1
         values = _split_rescaled(b1, _brownian(ts, rng, (rows * take, m)), c, ts)
         if process == "scalar":
             d = rng.standard_normal((rows * take, m, 1))
@@ -284,10 +284,23 @@ def _discard_risk(q, surv, running, rest, c, m, ts):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.sqrt(q)
         rho_t = math.sqrt(c) * (np.sqrt(2.0 * running + c + ts) - z[..., None])
-        p = sc.gammaincc(m / 2.0, rho_t[..., positive] ** 2 / (2.0 * ts[positive])).sum(axis=-1)
+        p = _chi2_tail(m, rho_t[..., positive] ** 2 / (2.0 * ts[positive])).sum(axis=-1)
         rho = rho_t[..., positive].min(axis=-1)
         eta = (1.0 - max(m - 2, 0) / rho**2) / 2.0
         spread = 2.0 * eta * rho * math.sqrt(c) - z
         tail = rest * surv * z * (1.0 + max(2 - m, 0) / q) / ((1.0 - surv) * spread)
         bound = p * (1.0 + tail)
     return np.where(np.all(rho_t > 0.0, axis=-1) & (eta > 0.0) & (spread > 0.0), bound, np.inf)
+
+
+def _chi2_level(m, surv):
+    # the chi-square(m) level with upper tail ``surv``; exponential at m = 2
+    if m != 2:
+        return 2.0 * sc.gammainccinv(m / 2.0, surv)
+    with np.errstate(divide="ignore"):  # surv = 0 gives inf, as gammainccinv does
+        return -2.0 * np.log(surv)
+
+
+def _chi2_tail(m, x):
+    # P(chi2_m > 2x) = gammaincc(m/2, x), which is exp(-x) at m = 2
+    return np.exp(-x) if m == 2 else sc.gammaincc(m / 2.0, x)

@@ -129,6 +129,7 @@ def _coupled_normalized_max(process, m, n, u):
     # of the maximum: q = P(max survival) = 1 - U^{1/n}, evaluated stably.
     q = -np.expm1(np.log(u) / n)
     if process == "bessel":
+        # gammainccinv even at m = 2: -2 log q would move the last bits of the printed KS values
         mx, consts = 2.0 * sc.gammainccinv(0.5 * m, q), bessel_constants(n, m)
     elif process == "scalar":
         mx, consts = _laplace_upper_quantile(q), scalar_constants(n, m)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,3 +362,86 @@ class TestPairMaxima:
         assert fast.shape == (10, 1) and copies.max() <= 2
         with pytest.raises(ValueError):  # b = 0: the local clock 1 + t/(2b) is undefined
             pair_maxima("scalar", ts, 2, 2, StreamKey(1), 10)
+
+
+class TestChiSquareClosedForms:
+    # upper-tail probabilities from 1e-300 to 1 - 1e-12, and their -log
+    Q = np.concatenate(
+        (np.logspace(-300, -1, 3000), np.linspace(0.1, 0.9, 801), 1 - np.logspace(-1, -12, 1000))
+    )
+    X = np.concatenate(([0.0], -np.log(Q)))
+
+    @staticmethod
+    def ulps(ours, theirs):
+        return np.abs(ours - theirs) / np.spacing(np.abs(theirs))
+
+    def test_m2_level_is_minus_two_log(self):
+        # against extended precision where the platform has it; scipy's
+        # iterative inverse is itself up to 28 ulp off as q -> 1
+        ours = rescale._chi2_level(2, self.Q)
+        exact = -2.0 * np.log(self.Q.astype(np.longdouble))
+        assert self.ulps(ours, exact.astype(float)).max() <= 4
+        assert self.ulps(ours, 2.0 * sc.gammainccinv(1.0, self.Q)).max() <= 32
+
+    def test_m2_tail_is_exponential(self):
+        # scipy's gammaincc(1, x) drifts by up to about 4.5 (1 + x) ulp from
+        # the correctly rounded e^-x, the condition number of exp
+        ours = rescale._chi2_tail(2, self.X)
+        exact = np.exp(-self.X.astype(np.longdouble))
+        assert self.ulps(ours, exact.astype(float)).max() <= 4
+        assert np.all(self.ulps(ours, sc.gammaincc(1.0, self.X)) <= 8.0 * (1.0 + self.X))
+
+    def test_m2_level_at_zero_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert rescale._chi2_level(2, np.array([0.0]))[0] == np.inf
+            assert rescale._chi2_level(2, 0.0) == np.inf
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_other_m_are_scipys_bit_for_bit(self, m):
+        level = 2.0 * sc.gammainccinv(m / 2.0, self.Q)
+        assert rescale._chi2_level(m, self.Q).tobytes() == level.tobytes()
+        assert rescale._chi2_tail(m, self.X).tobytes() == sc.gammaincc(m / 2.0, self.X).tobytes()
+
+
+@pytest.mark.parametrize(
+    "ts", [(0.0, 1.0), (0.25, 0.75), (0.0, 0.5, 1.0)], ids=["0-1", "interior", "grid"]
+)
+@pytest.mark.parametrize("process", ["bessel", "scalar"])
+def test_closed_forms_leave_every_stop_decision(monkeypatch, process, ts):
+    # the m = 2 closed forms move levels and bounds by ulps only, so every
+    # row keeps its copy count and its maxima move by far less than 1e-12
+    ts = np.array(ts)
+    keys = [StreamKey(4900, j) for j in range(6)]
+    fast = [pair_maxima(process, ts, 10**4, 2, key, 500) for key in keys]
+    monkeypatch.setattr(rescale, "_chi2_level", lambda m, q: 2.0 * sc.gammainccinv(m / 2.0, q))
+    monkeypatch.setattr(rescale, "_chi2_tail", lambda m, x: sc.gammaincc(m / 2.0, x))
+    for (maxima, copies), key in zip(fast, keys):
+        generic, generic_copies = pair_maxima(process, ts, 10**4, 2, key, 500)
+        np.testing.assert_array_equal(copies, generic_copies)
+        np.testing.assert_allclose(maxima, generic, rtol=0, atol=1e-12)
+
+
+# pair_maxima at times (0, 1), n = 10^4 and StreamKey(4800), 500 rows:
+# copies.sum(), the sha256 of copies.tobytes() and maxima.sum(axis=0)
+STREAM_LAYOUT = {
+    ("bessel", 2): (13768, "5e9c512419d074d341286fc6d39df11943d42d5be9d69b0c9b9bdbac777b7496",
+                    (252.2280640394543, 273.63645648116216)),
+    ("bessel", 3): (15651, "21fe2f257ee11c9ec630065dbf263943ef40a2d34f8838cb843ab00209402f11",
+                    (318.4001392314816, 348.65189572538156)),
+    ("scalar", 2): (31229, "770ae53c887f7826b4ed70d1ed197a26d04209a37d588286e1a21300ae3c358c",
+                    (255.60305326606948, 262.8510579473174)),
+    ("scalar", 3): (45564, "8ee44d84c437d04e271a9a981af0b54294058a8025c9997c5d5f506d8da685ad",
+                    (322.20174012890976, 345.7941968859718)),
+}
+
+
+@pytest.mark.parametrize("process,m", sorted(STREAM_LAYOUT))
+def test_stream_layout_is_pinned(process, m):
+    # a change to the order or number of draws moves these; a change to the
+    # arithmetic of the levels alone moves at most the last digits of the sums
+    total, digest, sums = STREAM_LAYOUT[process, m]
+    maxima, copies = pair_maxima(process, np.array([0.0, 1.0]), 10**4, m, StreamKey(4800), 500)
+    assert int(copies.sum()) == total
+    assert hashlib.sha256(copies.tobytes()).hexdigest() == digest
+    np.testing.assert_allclose(maxima.sum(axis=0), sums, rtol=1e-12)
