@@ -219,20 +219,35 @@ def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
 
     Returns ``(paths, spectral)``: the ``(replicates, len(times))`` matrix of
     paths and, per row, the number of spectral functions simulated, whose
-    expectation is ``len(times)`` (ibid., Proposition 4).  Rows run in fixed
-    chunks of ``EXACT_CHUNK``, each proposal round vectorised over the rows
-    of a chunk that are still active; chunk c draws everything from the one
-    stream at ``key.with_replicate(c)``, so the output is byte-stable under
-    any thread count.
+    expectation is ``len(times)`` (ibid., Proposition 4).  Rows fall in fixed
+    chunks of ``EXACT_CHUNK``, and chunk c draws everything from the one
+    stream at ``key.with_replicate(c)``.  The chunks run in ``min(threads,
+    chunks)`` contiguous groups, and the chunks of a group in lockstep: their
+    rows sit in one array, each proposal round and each backward-walk block
+    is vectorised over the active rows of every chunk, and each draw is one
+    call per chunk for its active rows (none when it has none).  So each
+    chunk's stream sees the same calls, of the same sizes and in the same
+    order, as it would with its chunk run alone, and the output is
+    byte-stable under any thread count.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     pts = _checked_times(times, end=1.0)
     sq_steps = np.sqrt(np.diff(pts))
 
-    def chunk(c):
-        rng = key.with_replicate(c).generator()
-        rows = min(replicates, (c + 1) * EXACT_CHUNK) - c * EXACT_CHUNK
+    def group(chunks):
+        # the rows of consecutive chunks in one array
+        rngs = [key.with_replicate(c).generator() for c in chunks]
+        edges = np.arange(len(chunks) + 1) * EXACT_CHUNK
+        rows = min(replicates, (chunks[-1] + 1) * EXACT_CHUNK) - chunks[0] * EXACT_CHUNK
+
+        def draw(method, active, *width):
+            # ``active`` increases, so each chunk's rows lie together: one call
+            # on each chunk's stream for its rows, none when it has none
+            cuts = np.searchsorted(active, edges)
+            return np.concatenate([getattr(rng, method)((hi - lo, *width))
+                                   for rng, lo, hi in zip(rngs, cuts[:-1], cuts[1:]) if hi > lo])
+
         best = np.full((rows, pts.size), -np.inf)
         spectral = np.zeros(rows, dtype=np.int64)
         for j, t in enumerate(pts):
@@ -240,7 +255,7 @@ def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
             gamma = np.zeros(rows)
             active = np.arange(rows)
             while active.size:
-                gamma[active] += rng.standard_exponential(active.size)
+                gamma[active] += draw("standard_exponential", active)
                 level = -np.log(gamma[active])
                 above = level > best[active, j]
                 active, level = active[above], level[above]
@@ -252,20 +267,22 @@ def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
                         break
                     hi, lo = lo, max(lo - size, 0)
                     walk = np.cumsum(
-                        rng.standard_normal((kept.size, hi - lo)) * sq_steps[lo:hi][::-1], axis=1
+                        draw("standard_normal", kept, hi - lo) * sq_steps[lo:hi][::-1], axis=1
                     )
                     walk += here[:, None]
                     below = np.all(walk[:, ::-1] + drift[lo:hi] < best[kept, lo:hi], axis=1)
                     kept, level, here = kept[below], level[below], walk[below, -1]
                 if kept.size:
                     walk = np.zeros((kept.size, pts.size - j))
-                    np.cumsum(rng.standard_normal((kept.size, pts.size - 1 - j)) * sq_steps[j:],
+                    np.cumsum(draw("standard_normal", kept, pts.size - 1 - j) * sq_steps[j:],
                               axis=1, out=walk[:, 1:])
                     walk += level[:, None] + drift[j:]
                     best[kept, j:] = np.maximum(best[kept, j:], walk)
         return best, spectral
 
-    paths, spectral = zip(*parallel_map(chunk, -(-replicates // EXACT_CHUNK), threads))
+    chunks = np.arange(-(-replicates // EXACT_CHUNK))
+    groups = np.array_split(chunks, max(1, min(threads, chunks.size)))
+    paths, spectral = zip(*parallel_map(lambda g: group(groups[g]), len(groups), threads))
     return np.concatenate(paths), np.concatenate(spectral)
 
 

@@ -6,6 +6,7 @@ pilot header records the observed spreads).  Run with `pytest -s` to see the
 per-criterion lines as they complete.
 """
 
+import json
 import math
 import time
 
@@ -48,6 +49,16 @@ MASTER_SEED = 7  # frozen by demos/pilot_thresholds.py
 KEY = StreamKey(MASTER_SEED)
 
 ORACLE_QUAD = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=200)
+
+# the CLI's default gates that the criteria re-derive; test_gates_are_the_cli_defaults
+# holds each to the threshold that a `cli.run` report prints for it
+TAIL_RATIO_GATE = 0.05  # tail-check ratio_error
+SWEEP_FINAL_GATE = 0.10  # marginal-sweep ks_final
+BR_MARGINAL_GATE = 0.026  # br-selftest ks_marginal_t_*
+BR_TWO_SAMPLE_GATE = 0.033  # br-selftest ks_stationarity, ks_epsilon_insensitivity
+FDD_PRELIMIT_GATE = 0.05  # fdd-check --process bessel/scalar fdd_sup_diff
+FDD_LIMIT_GATE = 0.03  # fdd-check --process br fdd_sup_diff
+KK_BOUND_FACTOR = 2.0  # kk-check kk_max_over_first
 
 
 def report(number, passed, detail):
@@ -108,8 +119,8 @@ def test_criterion_03_product_tail_oracle_equivalence():
     elapsed = time.perf_counter() - started
     report(
         3,
-        worst_ratio_gap <= 0.05 and worst_laplace <= 1e-9 and elapsed < 1.0,
-        f"asymptotic/oracle gap {worst_ratio_gap:.4f} (<=0.05), Laplace error "
+        worst_ratio_gap <= TAIL_RATIO_GATE and worst_laplace <= 1e-9 and elapsed < 1.0,
+        f"asymptotic/oracle gap {worst_ratio_gap:.4f} (<={TAIL_RATIO_GATE}), Laplace error "
         f"{worst_laplace:.1e} (<=1e-9), {elapsed:.2f} s",
     )
 
@@ -142,12 +153,13 @@ def test_criterion_05_marginal_gumbel_sweeps():
         sweep = marginal_gumbel_sweep(
             process, m, [100, 1000, 10000], 2000, KEY.with_substream(substream)
         )
-        good = sweep.decreasing and sweep.final_value <= 0.10
+        good = sweep.decreasing and sweep.final_value <= SWEEP_FINAL_GATE
         ok = ok and good
         details.append(f"{process} m={m}: {['%.4f' % v for v in sweep.values]}")
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 60.0
-    report(5, ok, "; ".join(details) + f" (decreasing, final <= 0.10), {elapsed:.1f} s")
+    detail = f" (decreasing, final <= {SWEEP_FINAL_GATE:.2f}), {elapsed:.1f} s"
+    report(5, ok, "; ".join(details) + detail)
 
 
 def test_criterion_06_br_simulator_selftests():
@@ -167,17 +179,17 @@ def test_criterion_06_br_simulator_selftests():
     insensitivity = two_sample_ks(loose[:, col], tight[:, col])
     elapsed = time.perf_counter() - started
     ok = (
-        all(v <= 0.026 for v in marginals.values())
-        and stationarity <= 0.033
-        and insensitivity <= 0.033
+        all(v <= BR_MARGINAL_GATE for v in marginals.values())
+        and stationarity <= BR_TWO_SAMPLE_GATE
+        and insensitivity <= BR_TWO_SAMPLE_GATE
         and elapsed < 120.0
     )
     report(
         6,
         ok,
-        f"marginal KS {['%.4f' % marginals[t] for t in (0.0, 0.5, 1.0)]} (<=0.026), "
-        f"stationarity {stationarity:.4f}, eps-insensitivity {insensitivity:.4f} (<=0.033), "
-        f"{elapsed:.0f} s",
+        f"marginal KS {['%.4f' % marginals[t] for t in (0.0, 0.5, 1.0)]} (<={BR_MARGINAL_GATE}), "
+        f"stationarity {stationarity:.4f}, eps-insensitivity {insensitivity:.4f} "
+        f"(<={BR_TWO_SAMPLE_GATE}), {elapsed:.0f} s",
     )
 
 
@@ -187,12 +199,17 @@ def test_criterion_07_fdd_checks():
     scalar = fdd_check("scalar", 2, (0.0, 1.0), 10000, 2000, KEY.with_substream(71))
     limit = fdd_check("br", 2, (0.0, 1.0), 0, 10000, KEY.with_substream(72))
     elapsed = time.perf_counter() - started
-    ok = bessel <= 0.05 and scalar <= 0.05 and limit <= 0.03 and elapsed < 600.0
+    ok = (
+        bessel <= FDD_PRELIMIT_GATE
+        and scalar <= FDD_PRELIMIT_GATE
+        and limit <= FDD_LIMIT_GATE
+        and elapsed < 600.0
+    )
     report(
         7,
         ok,
-        f"fdd sup-diff vs HR(0.5): bessel {bessel:.4f}, scalar {scalar:.4f} (<=0.05), "
-        f"limit harness {limit:.4f} (<=0.03), {elapsed:.0f} s",
+        f"fdd sup-diff vs HR(0.5): bessel {bessel:.4f}, scalar {scalar:.4f} "
+        f"(<={FDD_PRELIMIT_GATE}), limit harness {limit:.4f} (<={FDD_LIMIT_GATE}), {elapsed:.0f} s",
     )
 
 
@@ -265,12 +282,32 @@ def test_criterion_10_condition_verifiers():
         [10**3, 10**4, 10**5],
         ORACLE_QUAD,
     )
-    bounded = max(sequence) <= 2.0 * sequence[0]
+    bounded = max(sequence) <= KK_BOUND_FACTOR * sequence[0]
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and bounded and elapsed < 5.0
     report(
         10,
         ok,
         f"intensity exact to {worst:.1e}, damped-tail sequence "
-        f"{['%.3f' % v for v in sequence]} bounded by 2x first, {elapsed:.2f} s",
+        f"{['%.3f' % v for v in sequence]} bounded by {KK_BOUND_FACTOR:g}x first, {elapsed:.2f} s",
     )
+
+
+def test_gates_are_the_cli_defaults(tmp_path):
+    # small argvs at default thresholds: (argv, gated row, the constant the criteria use)
+    cases = [
+        ("tail-check --m 2 --x 5", "ratio_error", TAIL_RATIO_GATE),
+        ("marginal-sweep --process bm --ns 100 --replicates 10", "ks_final", SWEEP_FINAL_GATE),
+        ("br-selftest --grid-k 1 --replicates 10", "ks_marginal_t_0", BR_MARGINAL_GATE),
+        ("br-selftest --grid-k 1 --replicates 10", "ks_stationarity", BR_TWO_SAMPLE_GATE),
+        ("br-selftest --grid-k 1 --replicates 10", "ks_epsilon_insensitivity", BR_TWO_SAMPLE_GATE),
+        ("fdd-check --process bessel --n 100 --replicates 10", "fdd_sup_diff", FDD_PRELIMIT_GATE),
+        ("fdd-check --process scalar --n 100 --replicates 10", "fdd_sup_diff", FDD_PRELIMIT_GATE),
+        ("fdd-check --process br --replicates 10", "fdd_sup_diff", FDD_LIMIT_GATE),
+        ("kk-check --ns 1000,10000", "kk_max_over_first", KK_BOUND_FACTOR),
+    ]
+    for i, (argv, statistic, gate) in enumerate(cases):
+        out = tmp_path / f"{i}.json"
+        assert run(argv.split() + ["--seed", "1", "--out", str(out)]) in (0, 1), argv
+        rows = {row["statistic"]: row for row in json.loads(out.read_text())["results"]}
+        assert rows[statistic]["threshold"] == gate, (argv, statistic)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -331,6 +332,23 @@ class TestSampleBR:
         assert two_sample_ks(loose, tight) <= 0.052
 
 
+# sample_br_exact at StreamKey(2060) with 2,500 replicates, so that the third
+# chunk is partial, at threads 1: the times, the sha256 of the paths rounded to
+# float32 and the sha256 of spectral.tobytes().  Rounding keeps the digests
+# portable: numpy's float64 log differs from libm's in the last bit (it moved 15
+# of the 5,000 values at times (0, 1)), and that moves no float32 value here.
+EXACT_STREAM_LAYOUT = {
+    "0-1": ([0.0, 1.0], "c8f0c146490960e28c65d3e94a0faacb9f4177988d1da7e393b91ed2c32ad00a",
+            "1e8426c648f8dbc210f5daf61582c71f074e583255a5784256371c8bc0159f4c"),
+    "interior": ([0.25, 0.75], "ffb0feb2a40dec78499bc98657d80a225f01f152905cc8b45cd18316cc5b4307",
+                 "b53a1a84c6c3511d002b729a87900a005b95861542103931badb7cbae89b9350"),
+    "k3": (make_dyadic_grid(3), "1d7ceea183703e19bff62bd62874c9af86c4c4fa5ace2e0b690f91f386b900e6",
+           "51f838b72262a8ad813329c27a26588be68b7f04e2e32f00d09b037234953ebd"),
+    "k5": (make_dyadic_grid(5), "b44a7d63a79c67882eb9c1e7a029d978b47ff3d8b66194299ed9aa318b87f1e7",
+           "1929d887eef1cc87ba8a1797f0d4a8be146990ec8511fa8d0ea46fbce95ad504"),
+}
+
+
 class TestSampleBRExact:
     def test_same_key_same_bytes_and_thread_invariant(self):
         # 2,100 replicates cross two fixed chunk boundaries
@@ -340,11 +358,23 @@ class TestSampleBRExact:
         key = StreamKey(2050)
         paths, spectral = sample_br_exact(grid, key, replicates, threads=1)
         again, again_spectral = sample_br_exact(grid, key, replicates, threads=1)
-        pooled, pooled_spectral = sample_br_exact(grid, key, replicates, threads=3)
         assert paths.shape == (replicates, grid.size) and spectral.shape == (replicates,)
-        assert paths.tobytes() == again.tobytes() == pooled.tobytes()
-        assert spectral.tobytes() == again_spectral.tobytes() == pooled_spectral.tobytes()
+        assert paths.tobytes() == again.tobytes()
+        assert spectral.tobytes() == again_spectral.tobytes()
         assert np.all(np.isfinite(paths)) and spectral.min() >= 1
+        # 3 chunks: one per thread, an uneven split, and more threads than chunks
+        for threads in (2, 3, 5):
+            pooled, pooled_spectral = sample_br_exact(grid, key, replicates, threads=threads)
+            assert paths.tobytes() == pooled.tobytes(), threads
+            assert spectral.tobytes() == pooled_spectral.tobytes(), threads
+
+    @pytest.mark.parametrize("times", sorted(EXACT_STREAM_LAYOUT))
+    def test_stream_layout_is_pinned(self, times):
+        # a change to the order, number or size of any chunk's draws moves these
+        grid, digest, spectral_digest = EXACT_STREAM_LAYOUT[times]
+        paths, spectral = sample_br_exact(grid, StreamKey(2060), 2500)
+        assert hashlib.sha256(paths.astype(np.float32).tobytes()).hexdigest() == digest
+        assert hashlib.sha256(spectral.tobytes()).hexdigest() == spectral_digest
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
