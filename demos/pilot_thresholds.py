@@ -38,6 +38,12 @@ Findings from the recorded run (2026-08-10, this machine):
     (7000..7999) no value exceeded 0.03: max 0.0181, 99th percentile 0.0143,
     median 0.0058, so the gate's failure rate there is below about 0.3%.
     Seed and threshold are unchanged.
+    Re-run 2026-10-20 after the exact sampler drew every row from the one
+    stream at its key, with no 1000-row chunks (new stream layout):
+    0.0039..0.0056 at pilot seeds 3000..3001, and 0.0162 at seed 7
+    (substream 72).  Over 1000 seeds (7000..7999) no value exceeded 0.03:
+    max 0.0171, 99th percentile 0.0140, median 0.0056.  Seed and threshold
+    are unchanged.
   * fdd, prelimit families (m=2, n=10^4, 2000 replicates, threshold 0.05):
     the first record said they stayed below 0.03, but a brute-force scan of
     seeds 2000..2039 reached 0.0336 (bessel) and 0.0507 (scalar, one seed

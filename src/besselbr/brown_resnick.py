@@ -6,7 +6,8 @@ motions B_k.  Its one-dimensional margins are standard Gumbel and its
 bivariate margins are Husler-Reiss with dependence parameter
 lambda = sqrt(|t - s|) / 2.  Both samplers take a plain array of strictly
 increasing times in [0, 1]: ``sample_br`` truncates the Poisson series under
-an error budget, and ``sample_br_exact`` draws the exact law at the times.
+an error budget, and ``sample_br_exact`` draws the exact law at the times,
+every row from the one stream at its key.
 """
 
 import math
@@ -34,7 +35,6 @@ _LEVEL_BLOCK = 64  # exponentials drawn per refill of sample_br's level buffer
 _FIRST_ROWS = 32  # Wiener rows sample_br draws before its running maximum has a floor
 _MAX_ROWS = 128  # cap on the Wiener rows of any later block
 BR_CHUNK = 100  # replicates per canonical chunk of sample_br_batch
-EXACT_CHUNK = 1000  # replicates per canonical chunk of sample_br_exact
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def sample_br_batch(
     return np.concatenate(parallel_map(chunk, -(-replicates // BR_CHUNK), threads))
 
 
-def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
+def sample_br_exact(times, key: StreamKey, replicates: int):
     """Exact Brown-Resnick paths at ``times`` by the extremal-functions algorithm.
 
     Dombry, Engelke & Oesting, "Exact simulation of max-stable processes",
@@ -219,71 +219,51 @@ def sample_br_exact(times, key: StreamKey, replicates: int, threads: int = 1):
 
     Returns ``(paths, spectral)``: the ``(replicates, len(times))`` matrix of
     paths and, per row, the number of spectral functions simulated, whose
-    expectation is ``len(times)`` (ibid., Proposition 4).  Rows fall in fixed
-    chunks of ``EXACT_CHUNK``, and chunk c draws everything from the one
-    stream at ``key.with_replicate(c)``.  The chunks run in ``min(threads,
-    chunks)`` contiguous groups, and the chunks of a group in lockstep: their
-    rows sit in one array, each proposal round and each backward-walk block
-    is vectorised over the active rows of every chunk, and each draw is one
-    call per chunk for its active rows (none when it has none).  So each
-    chunk's stream sees the same calls, of the same sizes and in the same
-    order, as it would with its chunk run alone, and the output is
-    byte-stable under any thread count.
+    expectation is ``len(times)`` (ibid., Proposition 4).  All rows advance
+    together in one array: each proposal round and each backward-walk block
+    is one vectorised step over the rows still active, and each draw is one
+    call on the one stream at ``key`` for those rows.  The output is a pure
+    function of ``(times, key, replicates)``.  There is no thread pool: the
+    rounds shrink to a few rows, where numpy's per-call cost holds the GIL,
+    and a second thread made the sampler slower.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     pts = _checked_times(times, end=1.0)
     sq_steps = np.sqrt(np.diff(pts))
+    rng = key.generator()
 
-    def group(chunks):
-        # the rows of consecutive chunks in one array
-        rngs = [key.with_replicate(c).generator() for c in chunks]
-        edges = np.arange(len(chunks) + 1) * EXACT_CHUNK
-        rows = min(replicates, (chunks[-1] + 1) * EXACT_CHUNK) - chunks[0] * EXACT_CHUNK
-
-        def draw(method, active, *width):
-            # ``active`` increases, so each chunk's rows lie together: one call
-            # on each chunk's stream for its rows, none when it has none
-            cuts = np.searchsorted(active, edges)
-            return np.concatenate([getattr(rng, method)((hi - lo, *width))
-                                   for rng, lo, hi in zip(rngs, cuts[:-1], cuts[1:]) if hi > lo])
-
-        best = np.full((rows, pts.size), -np.inf)
-        spectral = np.zeros(rows, dtype=np.int64)
-        for j, t in enumerate(pts):
-            drift = -np.abs(pts - t) / 2.0
-            gamma = np.zeros(rows)
-            active = np.arange(rows)
-            while active.size:
-                gamma[active] += draw("standard_exponential", active)
-                level = -np.log(gamma[active])
-                above = level > best[active, j]
-                active, level = active[above], level[above]
-                spectral[active] += 1
-                # backward from t_j: ``here`` is X + W(t_lo) - W(t_j) at the walk's front
-                kept, here, lo = active, level, j
-                for size in (1, 4, 16, j):
-                    if lo == 0 or not kept.size:
-                        break
-                    hi, lo = lo, max(lo - size, 0)
-                    walk = np.cumsum(
-                        draw("standard_normal", kept, hi - lo) * sq_steps[lo:hi][::-1], axis=1
-                    )
-                    walk += here[:, None]
-                    below = np.all(walk[:, ::-1] + drift[lo:hi] < best[kept, lo:hi], axis=1)
-                    kept, level, here = kept[below], level[below], walk[below, -1]
-                if kept.size:
-                    walk = np.zeros((kept.size, pts.size - j))
-                    np.cumsum(draw("standard_normal", kept, pts.size - 1 - j) * sq_steps[j:],
-                              axis=1, out=walk[:, 1:])
-                    walk += level[:, None] + drift[j:]
-                    best[kept, j:] = np.maximum(best[kept, j:], walk)
-        return best, spectral
-
-    chunks = np.arange(-(-replicates // EXACT_CHUNK))
-    groups = np.array_split(chunks, max(1, min(threads, chunks.size)))
-    paths, spectral = zip(*parallel_map(lambda g: group(groups[g]), len(groups), threads))
-    return np.concatenate(paths), np.concatenate(spectral)
+    best = np.full((replicates, pts.size), -np.inf)
+    spectral = np.zeros(replicates, dtype=np.int64)
+    for j, t in enumerate(pts):
+        drift = -np.abs(pts - t) / 2.0
+        gamma = np.zeros(replicates)
+        active = np.arange(replicates)
+        while active.size:
+            gamma[active] += rng.standard_exponential(active.size)
+            level = -np.log(gamma[active])
+            above = level > best[active, j]
+            active, level = active[above], level[above]
+            spectral[active] += 1
+            # backward from t_j: ``here`` is X + W(t_lo) - W(t_j) at the walk's front
+            kept, here, lo = active, level, j
+            for size in (1, 4, 16, j):
+                if lo == 0 or not kept.size:
+                    break
+                hi, lo = lo, max(lo - size, 0)
+                walk = np.cumsum(
+                    rng.standard_normal((kept.size, hi - lo)) * sq_steps[lo:hi][::-1], axis=1
+                )
+                walk += here[:, None]
+                below = np.all(walk[:, ::-1] + drift[lo:hi] < best[kept, lo:hi], axis=1)
+                kept, level, here = kept[below], level[below], walk[below, -1]
+            if kept.size:
+                walk = np.zeros((kept.size, pts.size - j))
+                np.cumsum(rng.standard_normal((kept.size, pts.size - 1 - j)) * sq_steps[j:],
+                          axis=1, out=walk[:, 1:])
+                walk += level[:, None] + drift[j:]
+                best[kept, j:] = np.maximum(best[kept, j:], walk)
+    return best, spectral
 
 
 def hr_lambda(s, t) -> float:

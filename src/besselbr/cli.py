@@ -20,7 +20,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .brown_resnick import BRTruncationSpec, TruncationError, gumbel_cdf, sample_br, sample_br_batch
+from .brown_resnick import (
+    BRTruncationSpec,
+    TruncationError,
+    gumbel_cdf,
+    sample_br_batch,
+    sample_br_exact,
+)
 from .numerics import QuadratureError, QuadratureSpec, StreamKey
 from .paths import make_dyadic_grid, time_index
 from .rescale import bessel_constants, normal_constants, scalar_constants
@@ -228,10 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p, threads=True)
 
-    p = sub.add_parser("br-sample", help="simulate one limit-process path")
+    p = sub.add_parser("br-sample", help="simulate one exact limit-process path")
     p.add_argument("--grid-k", type=int, default=8)
-    p.add_argument("--epsilon", type=_finite_float, default=1e-4)
-    p.add_argument("--max-points", type=int, default=10000)
     _add_common(p)
 
     p = sub.add_parser("br-selftest", help="marginal, stationarity and truncation self-tests")
@@ -346,16 +350,16 @@ def _cmd_fdd_check(args):
 
 def _cmd_br_sample(args):
     grid = make_dyadic_grid(args.grid_k)
-    spec = BRTruncationSpec(epsilon=args.epsilon, max_points=args.max_points)
-    path = sample_br(grid, spec, StreamKey(args.seed))
+    (path,), (spectral,) = sample_br_exact(grid, StreamKey(args.seed), 1)
     rows = [
-        _result("path_min", float(path.values.min())),
-        _result("path_max", float(path.values.max())),
+        _result("path_min", path.min()),
+        _result("path_max", path.max()),
+        _result("spectral_functions", spectral),
     ]
     extra = {
         "path": {
             "times": [float(t) for t in grid],
-            "values": [float(v) for v in path.values],
+            "values": [float(v) for v in path],
         }
     }
     return rows, extra

@@ -211,13 +211,14 @@ def fdd_check(
     ``rescale.pair_maxima``, which simulates only the copies that can reach
     them, so the cost does not grow with ``n``.  ``process`` may also be "br",
     in which case the pair comes from the limit process itself, drawn
-    exactly by ``sample_br_exact`` at the two times (``m`` and ``n`` are
-    ignored), and the check exercises the simulator rather than a prelimit
-    family.  A ``diagnostics`` dict, when passed, receives one pure function
-    of the key: ``copies_per_replicate``, the mean number of copies
-    simulated per maximum, or for "br" ``br_spectral_functions_per_path``,
-    the mean number of spectral functions simulated per path, whose
-    expectation is 2.  A ``timings`` dict, when passed, receives the
+    exactly by ``sample_br_exact`` at the two times (``m``, ``n`` and
+    ``threads`` are ignored: that sampler draws every row from the one stream
+    at ``key`` on one thread), and the check exercises the simulator rather
+    than a prelimit family.  A ``diagnostics`` dict, when passed, receives
+    one pure function of the key: ``copies_per_replicate``, the mean number
+    of copies simulated per maximum, or for "br"
+    ``br_spectral_functions_per_path``, the mean number of spectral functions
+    simulated per path, whose expectation is 2.  A ``timings`` dict, when passed, receives the
     wall-clock spans ``sample`` and ``statistic`` in milliseconds.
     """
     s, t = times
@@ -227,7 +228,7 @@ def fdd_check(
 
     started = time.perf_counter()
     if process == "br":
-        pairs, spectral = sample_br_exact(ts, key, replicates, threads)
+        pairs, spectral = sample_br_exact(ts, key, replicates)
         found = {"br_spectral_functions_per_path": float(spectral.mean())}
     elif process in ("bessel", "scalar"):
         _check_dimension(m)

@@ -8,7 +8,6 @@ from scipy import special as sc
 from besselbr.brown_resnick import (
     _FIRST_ROWS,
     _MAX_ROWS,
-    EXACT_CHUNK,
     BRTruncationSpec,
     TruncationError,
     extremal_coefficient,
@@ -60,6 +59,36 @@ def _reference_sample_br(pts, spec, key):
         f"stopping rule did not fire within {spec.max_points} points",
         SamplePath(pts, best),
     )
+
+
+def _dieker_mikosch(times, key, rows):
+    """Exact Brown-Resnick rows at ``times``: Dieker & Mikosch, Extremes 2015.
+
+    M = log max_k Y_k / Gamma_k over unit-rate Poisson arrivals Gamma_k, with
+    spectral functions Y = exp(V) / mean_j exp(V(t_j)), where V(t) = W(t) -
+    W(T) - |t - T|/2 for a Brownian motion W and T uniform on the N times.
+    Each Y has grid mean 1 and is at most N, so a row stops exactly once
+    N / Gamma_k is at most its current minimum.  Shares no code with
+    ``sample_br_exact`` beyond the law it targets.
+    """
+    times = np.asarray(times, dtype=float)
+    rng = key.generator()
+    sq_steps = np.sqrt(np.diff(times))
+    frechet = np.zeros((rows, times.size))
+    gamma = np.zeros(rows)
+    active = np.arange(rows)
+    while active.size:
+        gamma[active] += rng.standard_exponential(active.size)
+        active = active[times.size / gamma[active] > frechet[active].min(axis=1)]
+        w = np.zeros((active.size, times.size))
+        np.cumsum(rng.standard_normal((active.size, times.size - 1)) * sq_steps, axis=1,
+                  out=w[:, 1:])
+        centre = rng.integers(times.size, size=active.size)
+        v = w - w[np.arange(active.size), centre][:, None]
+        v -= np.abs(times - times[centre][:, None]) / 2.0
+        spectral = np.exp(v) / np.exp(v).mean(axis=1, keepdims=True)
+        frechet[active] = np.maximum(frechet[active], spectral / gamma[active][:, None])
+    return np.log(frechet)
 
 
 class TestGumbel:
@@ -332,45 +361,39 @@ class TestSampleBR:
         assert two_sample_ks(loose, tight) <= 0.052
 
 
-# sample_br_exact at StreamKey(2060) with 2,500 replicates, so that the third
-# chunk is partial, at threads 1: the times, the sha256 of the paths rounded to
-# float32 and the sha256 of spectral.tobytes().  Rounding keeps the digests
-# portable: numpy's float64 log differs from libm's in the last bit (it moved 15
-# of the 5,000 values at times (0, 1)), and that moves no float32 value here.
+# sample_br_exact at StreamKey(2060) with 2,500 replicates: the times, the
+# sha256 of the paths rounded to float32 and the sha256 of spectral.tobytes().
+# Rounding keeps the digests portable: numpy's float64 log differs from libm's
+# in the last bit (it moved 15 of the 5,000 values at times (0, 1)), and that
+# moves no float32 value here.
 EXACT_STREAM_LAYOUT = {
-    "0-1": ([0.0, 1.0], "c8f0c146490960e28c65d3e94a0faacb9f4177988d1da7e393b91ed2c32ad00a",
-            "1e8426c648f8dbc210f5daf61582c71f074e583255a5784256371c8bc0159f4c"),
-    "interior": ([0.25, 0.75], "ffb0feb2a40dec78499bc98657d80a225f01f152905cc8b45cd18316cc5b4307",
-                 "b53a1a84c6c3511d002b729a87900a005b95861542103931badb7cbae89b9350"),
-    "k3": (make_dyadic_grid(3), "1d7ceea183703e19bff62bd62874c9af86c4c4fa5ace2e0b690f91f386b900e6",
-           "51f838b72262a8ad813329c27a26588be68b7f04e2e32f00d09b037234953ebd"),
-    "k5": (make_dyadic_grid(5), "b44a7d63a79c67882eb9c1e7a029d978b47ff3d8b66194299ed9aa318b87f1e7",
-           "1929d887eef1cc87ba8a1797f0d4a8be146990ec8511fa8d0ea46fbce95ad504"),
+    "0-1": ([0.0, 1.0], "76ddc44470ad3873b5716a89f7e2d4e339b0212bd41773b6e77a91dfea0f9269",
+            "a23d4881146f733bc7587e144afe1c887f24e1fd0fdd6203fc130676ebd332c7"),
+    "interior": ([0.25, 0.75], "34f33c49514efd5d61e668fe70eee864f86ff1f9b13f1896c90f43e6232e231c",
+                 "4b317fcf7582f48b2a29a1ff3c456af75e878201e825fa9d9286215c51a21584"),
+    "k3": (make_dyadic_grid(3), "cb88e30db30a371bf1b548686386739f19258bbcce13aeef52a6d2a51fe7199e",
+           "214dbf1127025a8b678b67b3c9af9ebe402273a20ec9cdd4300b05e1b54c80ed"),
+    "k5": (make_dyadic_grid(5), "eb1441faed76f8e32e412f40401aea4916b05ebf190d89bec295160237bd2e98",
+           "c1013f4b6593073794db7c34b485b5a12c22d9d8f94f6bf69e6aea3900739e41"),
 }
 
 
 class TestSampleBRExact:
     def test_same_key_same_bytes_and_thread_invariant(self):
-        # 2,100 replicates cross two fixed chunk boundaries
+        # one stream on one thread: the bytes are a function of the key alone
         replicates = 2100
-        assert replicates > 2 * EXACT_CHUNK
         grid = make_dyadic_grid(2)
         key = StreamKey(2050)
-        paths, spectral = sample_br_exact(grid, key, replicates, threads=1)
-        again, again_spectral = sample_br_exact(grid, key, replicates, threads=1)
+        paths, spectral = sample_br_exact(grid, key, replicates)
+        again, again_spectral = sample_br_exact(grid, key, replicates)
         assert paths.shape == (replicates, grid.size) and spectral.shape == (replicates,)
         assert paths.tobytes() == again.tobytes()
         assert spectral.tobytes() == again_spectral.tobytes()
         assert np.all(np.isfinite(paths)) and spectral.min() >= 1
-        # 3 chunks: one per thread, an uneven split, and more threads than chunks
-        for threads in (2, 3, 5):
-            pooled, pooled_spectral = sample_br_exact(grid, key, replicates, threads=threads)
-            assert paths.tobytes() == pooled.tobytes(), threads
-            assert spectral.tobytes() == pooled_spectral.tobytes(), threads
 
     @pytest.mark.parametrize("times", sorted(EXACT_STREAM_LAYOUT))
     def test_stream_layout_is_pinned(self, times):
-        # a change to the order, number or size of any chunk's draws moves these
+        # a change to the order, number or size of any draw moves these
         grid, digest, spectral_digest = EXACT_STREAM_LAYOUT[times]
         paths, spectral = sample_br_exact(grid, StreamKey(2060), 2500)
         assert hashlib.sha256(paths.astype(np.float32).tobytes()).hexdigest() == digest
@@ -399,23 +422,23 @@ class TestSampleBRExact:
                 # the 5000-replicate bound of TestSampleBR::test_agrees_with_hr_bivariate
                 assert diff <= 0.04, (a, b)
 
-    def test_matches_truncated_sampler_in_law(self):
-        # the epsilon sampler at a tight budget is the oracle: every column, the
-        # path supremum and one increment must agree by two-sample KS
+    def test_matches_dieker_mikosch_in_law(self):
+        # the Dieker-Mikosch sampler is an exact oracle: every column, the path
+        # supremum and one increment must agree by two-sample KS
         grid = make_dyadic_grid(3)
-        exact, _ = sample_br_exact(grid, StreamKey(2053), 5000)
-        oracle = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2054), 5000)
+        exact, _ = sample_br_exact(grid, StreamKey(2053), 10000)
+        oracle = _dieker_mikosch(grid, StreamKey(2054), 10000)
         statistics = [two_sample_ks(exact[:, j], oracle[:, j]) for j in range(grid.size)]
         statistics.append(two_sample_ks(exact.max(axis=1), oracle.max(axis=1)))
         statistics.append(two_sample_ks(exact[:, 6] - exact[:, 2], oracle[:, 6] - oracle[:, 2]))
         assert max(statistics) <= 0.033  # the two-sample gate of test_stationarity
 
-    def test_backward_walk_blocks_match_truncated_sampler_in_law(self):
+    def test_backward_walk_blocks_match_dieker_mikosch_in_law(self):
         # 33 points: proposals at late grid indices walk back through the
         # blocks of 1, 4 and 16 steps and then the rest
         grid = make_dyadic_grid(5)
-        exact, _ = sample_br_exact(grid, StreamKey(2056), 5000)
-        oracle = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-6), StreamKey(2057), 5000)
+        exact, _ = sample_br_exact(grid, StreamKey(2056), 10000)
+        oracle = _dieker_mikosch(grid, StreamKey(2057), 10000)
         statistics = [two_sample_ks(exact[:, j], oracle[:, j]) for j in range(grid.size)]
         statistics.append(two_sample_ks(exact.max(axis=1), oracle.max(axis=1)))
         statistics.append(two_sample_ks(exact[:, 28] - exact[:, 4], oracle[:, 28] - oracle[:, 4]))

@@ -159,7 +159,7 @@ class TestExitCodes:
             "marginal-sweep --process bm --ns 100 --replicates 10 --threshold nan",
             "tail-check --m 2 --x inf",
             "fdd-check --process br --times 0,inf --replicates 20",
-            "br-sample --grid-k 2 --epsilon nan",
+            "br-selftest --grid-k 2 --epsilon nan --replicates 20",
         ],
     )
     def test_nonfinite_real_flag_is_usage_error(self, tmp_path, capsys, argv):
@@ -212,7 +212,9 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_exhausted_point_budget_is_reported_cleanly(self, capsys):
-        code = run(["br-sample", "--epsilon", "1e-9", "--max-points", "2", "--seed", "1"])
+        # br-selftest's truncated sampler can still run out of points; br-sample has no budget
+        code = run(["br-selftest", "--grid-k", "1", "--epsilon", "1e-300", "--replicates", "1",
+                    "--seed", "1"])
         assert code == 2
         assert "stopping rule" in capsys.readouterr().err
 
