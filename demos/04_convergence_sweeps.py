@@ -4,26 +4,29 @@
 Two experiments: the fixed-time maxima of both process families, affinely
 normalised, drift toward the Gumbel law as the sample count grows; and the
 two-time maxima of the locally rescaled processes match the Husler-Reiss law
-of the limit process.  Sweeps sample the maxima through the exact inverse
-distribution of the maximum with common uniforms, so the KS trajectory
-reflects the shrinking bias rather than independent noise.
+of the limit process.  Where the base marginal has a closed-form tail
+(chi-square, the m = 2 product sum, the normal baseline) the sweep reports
+the exact distance of the maximum's law to Gumbel; the product sum for
+m != 2 is sampled with one key for every n, so its KS trajectory reflects the
+shrinking bias rather than independent noise.
 """
 
 from besselbr import StreamKey, fdd_check, marginal_gumbel_sweep
 
 key = StreamKey(20260401)
 
-print("KS distance to Gumbel across sample counts (2000 replicates):")
-for sub, (process, m) in enumerate((("bessel", 2), ("bessel", 3), ("scalar", 2), ("bm", 1))):
-    sweep = marginal_gumbel_sweep(process, m, [100, 1000, 10000], 2000, key.with_substream(sub))
-    path = " -> ".join(f"{v:.4f}" for v in sweep.values)
-    print(f"  {process:>6} m={m}: {path}   decreasing: {sweep.decreasing}")
+print("Kolmogorov distance to Gumbel at n = 100, 1000, 10000:")
+sweeps = (("bessel", 2), ("bessel", 3), ("scalar", 2), ("scalar", 3), ("bm", 1))
+for sub, (process, m) in enumerate(sweeps):
+    values = marginal_gumbel_sweep(process, m, [100, 1000, 10000], 2000, key.with_substream(sub))
+    path = " -> ".join(f"{v:.3g}" for v in values)
+    how = "2000 sampled maxima" if (process, m) == ("scalar", 3) else "exact"
+    print(f"  {process:>6} m={m}: {path}   ({how})")
 
 print()
-print("note: for m = 2 both families are exactly exponential-tailed, the bias is")
-print("O(1/n) and already far below the replicate noise at n = 100; the m = 3")
-print("chi-square family converges at the logarithmic rate and the decrease is")
-print("visible.")
+print("note: for m = 2 both families are exactly exponential-tailed and the")
+print("distance falls like 0.27/n; for m = 3 both converge at the logarithmic")
+print("rate.")
 
 print()
 print("two-time check against Husler-Reiss(lambda = 1/2) at (s, t) = (0, 1):")

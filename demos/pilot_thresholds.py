@@ -27,6 +27,14 @@ Findings from the recorded run (2026-08-10, this machine):
     final KS 0.0341..0.0633; the independent per-n streams before gave
     13/20 (0.0214..0.0467) and 10/20 (0.0347..0.0780) on the same seeds.
     The other three rows are unchanged; seeds and threshold are unchanged.
+    Since 2026-10-20 bessel, bm and scalar m=2 report the exact distance of
+    the maximum's law to Gumbel, printed once: bessel m=2 and scalar m=2
+    0.002716 -> 0.0002708 -> 2.707e-05, bessel m=3 0.07208 -> 0.05381 ->
+    0.04372, bm 0.05892 -> 0.04803 -> 0.04046, so their strict decrease
+    cannot fail on noise.  Scalar m != 2 moved to the 500-row chunks of the
+    fdd check (new stream layout): scalar m=1 decreases in 20/20 seeds,
+    final KS 0.0198..0.0503, and scalar m=3 in 20/20, final KS
+    0.0309..0.0788.  Seeds and threshold are unchanged.
   * fdd, limit process: the harness at 10^4 replicates stayed below 0.02
     (threshold 0.03).  Re-run 2026-10-18 after the harness moved to the
     exact sampler (new stream layout): 0.0031..0.0052 at pilot seeds
@@ -122,17 +130,19 @@ def banner(text):
 
 
 def pilot_sweeps(n_seeds):
-    banner(f"Gumbel sweeps: ns=(100, 1000, 10000), 2000 replicates, {n_seeds} seeds")
-    for process, m in (("bessel", 2), ("bessel", 3), ("scalar", 2), ("scalar", 1), ("scalar", 3)):
+    ns = [100, 1000, 10000]
+    banner(f"Gumbel sweeps: ns={tuple(ns)}; exact laws once, sampled maxima over {n_seeds} seeds")
+    for process, m in (("bessel", 2), ("bessel", 3), ("scalar", 2), ("bm", 1)):
+        values = marginal_gumbel_sweep(process, m, ns, 1, StreamKey(0))
+        print(f"  {process} m={m} (exact): {['%.4g' % v for v in values]}  (threshold 0.10)")
+    for process, m in (("scalar", 1), ("scalar", 3)):
         finals, decreasing = [], 0
         for seed in range(n_seeds):
-            report = marginal_gumbel_sweep(
-                process, m, [100, 1000, 10000], 2000, StreamKey(1000 + seed)
-            )
-            finals.append(report.final_value)
-            decreasing += report.decreasing
+            values = marginal_gumbel_sweep(process, m, ns, 2000, StreamKey(1000 + seed))
+            finals.append(values[-1])
+            decreasing += all(b < a for a, b in zip(values, values[1:]))
         print(
-            f"  {process} m={m}: decreasing {decreasing}/{n_seeds}, "
+            f"  {process} m={m} (2000 replicates): decreasing {decreasing}/{n_seeds}, "
             f"final KS in [{min(finals):.4f}, {max(finals):.4f}]  (threshold 0.10)"
         )
 
@@ -225,14 +235,13 @@ def scan_candidate(seed):
         ok = ok and good
         lines.append(f"    {name}: {value:.4f} vs {threshold:g} {'ok' if good else 'FAIL'}")
 
-    for sub, (process, m) in zip((51, 52, 53), (("bessel", 2), ("bessel", 3), ("scalar", 2))):
-        report = marginal_gumbel_sweep(
-            process, m, [100, 1000, 10000], 2000, key.with_substream(sub)
-        )
-        record(f"sweep {process} m={m} final", report.final_value, 0.10)
-        if not report.decreasing:
+    sweeps = (("bessel", 2), ("bessel", 3), ("scalar", 2), ("scalar", 3))
+    for sub, (process, m) in zip((51, 52, 53, 54), sweeps):
+        values = marginal_gumbel_sweep(process, m, [100, 1000, 10000], 2000, key.with_substream(sub))
+        record(f"sweep {process} m={m} final", values[-1], 0.10)
+        if not all(b < a for a, b in zip(values, values[1:])):
             ok = False
-            lines.append(f"    sweep {process} m={m}: NOT decreasing {report.values}")
+            lines.append(f"    sweep {process} m={m}: NOT decreasing {values}")
 
     grid = make_dyadic_grid(8)
     base = sample_br_batch(grid, BRTruncationSpec(epsilon=1e-4), key.with_substream(60), 5000)

@@ -48,7 +48,6 @@ from .rescale import (
     scalar_constants,
 )
 from .stats import (
-    SweepReport,
     bivariate_cdf_diff,
     fdd_check,
     ks_statistic,

@@ -6,22 +6,22 @@ rescaled maxima at two times converges to the Husler-Reiss law.  Both shapes
 reduce to Kolmogorov-Smirnov style distances between empirical and model
 distribution functions.
 
-Sampling strategy for the Gumbel sweeps: at a fixed time the base marginals
-have known one-dimensional laws, so the maximum of n of them is drawn in one
-step through the inverse distribution function of the maximum whenever that
-inverse is available (chi-square via the regularized gamma inverse, the m = 2
-product sum via the Laplace quantile, Brownian values via the normal
-quantile), and otherwise (the product sum for m != 2) from the time-0
-column of ``rescale.pair_maxima``.  Every sample count of a chunk draws from
-the chunk's one stream, so consecutive sweep entries are coupled and the
-reported decrease in KS distance reflects the shrinking distributional bias
-rather than independent sampling noise.
+Gumbel sweeps from exact laws: at a fixed time the maximum of n base
+marginals has the law F_n(s) = (1 - P(xi > a s + b))^n.  For chi-square
+marginals, the m = 2 product sum (standard Laplace) and the normal baseline
+that tail is a closed form, so the sweep reports the exact Kolmogorov
+distance sup_s |F_n(s) - exp(-e^{-s})| and samples nothing.  The product sum
+for m != 2 has no closed-form tail; there the sweep takes the KS statistic of
+the time-0 column of ``rescale.pair_maxima``, the sampler under test, drawn
+with the same key for every n.  Consecutive entries are then coupled, so the
+reported decrease reflects the shrinking bias rather than independent
+sampling noise.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 from scipy import special as sc
 
 from .brown_resnick import gumbel_cdf, hr_bivariate_cdf, hr_lambda, sample_br_exact
@@ -30,7 +30,6 @@ from .paths import _check_dimension, _checked_times
 from .rescale import bessel_constants, normal_constants, pair_maxima, scalar_constants
 
 __all__ = [
-    "SweepReport",
     "ks_statistic",
     "two_sample_ks",
     "bivariate_cdf_diff",
@@ -38,8 +37,8 @@ __all__ = [
     "fdd_check",
 ]
 
-SWEEP_CHUNK = 256  # replicates per canonical chunk; fixed so reports are thread-count independent
-FDD_CHUNK = 500
+# replicates per canonical chunk of pair maxima; fixed so reports do not depend on the thread count
+PAIR_CHUNK = 500
 
 _FDD_LEVELS = (-1.0, 0.0, 1.0)
 
@@ -98,44 +97,36 @@ def bivariate_cdf_diff(pairs, model, grid) -> float:
     return float(np.max(np.abs(empirical - model(gx, gy))))
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """KS distances ``values`` of one convergence sweep, one per sample count in ``ns``."""
-
-    ns: list
-    values: list
-
-    def __post_init__(self):
-        if len(self.ns) != len(self.values) or any(b <= a for a, b in zip(self.ns, self.ns[1:])):
-            raise ValueError("a sweep needs one value per strictly increasing n")
-
-    @property
-    def final_value(self) -> float:
-        return self.values[-1]
-
-    @property
-    def decreasing(self) -> bool:
-        v = self.values
-        return all(b < a for a, b in zip(v, v[1:]))
+# Gumbel quantiles exp(-e^{-s}) from about 3e-18 to 1 - 1e-16: outside them
+# |F_n - Lambda| exceeds its value at the nearer end by less than that
+_GUMBEL_GRID = np.linspace(-3.7, 36.9, 407)
 
 
-def _laplace_upper_quantile(q: np.ndarray) -> np.ndarray:
-    # x with P(Laplace > x) = q
-    return np.where(q <= 0.5, -np.log(2.0 * q), np.log(2.0 * (1.0 - q)))
-
-
-def _coupled_normalized_max(process, m, n, u):
-    # maximum of n i.i.d. base marginals drawn through the exact inverse CDF
-    # of the maximum: q = P(max survival) = 1 - U^{1/n}, evaluated stably.
-    q = -np.expm1(np.log(u) / n)
+def _exact_gumbel_distance(process, m, n) -> float:
+    # sup_s |F_n(s) - Lambda(s)|: the best point of a fixed grid, refined
+    # between its two neighbours
     if process == "bessel":
-        # gammainccinv even at m = 2: -2 log q would move the last bits of the printed KS values
-        mx, consts = 2.0 * sc.gammainccinv(0.5 * m, q), bessel_constants(n, m)
-    elif process == "scalar":
-        mx, consts = _laplace_upper_quantile(q), scalar_constants(n, m)
-    else:  # bm
-        mx, consts = -sc.ndtri(q), normal_constants(n)
-    return (mx - consts.b) / consts.a
+        consts = bessel_constants(n, m)
+        tail = lambda x: sc.gammaincc(0.5 * m, np.maximum(x, 0.0) / 2.0)
+    elif process == "scalar":  # m = 2: the product sum is standard Laplace
+        consts = scalar_constants(n, m)
+        tail = lambda x: np.where(x < 0.0, 1.0 - 0.5 * np.exp(x), 0.5 * np.exp(-x))
+    else:
+        consts = normal_constants(n)
+        tail = lambda x: sc.ndtr(-x)
+
+    def gap(s):
+        with np.errstate(divide="ignore"):  # a tail of 1 gives F_n = 0
+            fn = np.exp(n * np.log1p(-tail(consts.a * s + consts.b)))
+        return np.abs(fn - gumbel_cdf(s))
+
+    values = gap(_GUMBEL_GRID)
+    best = int(np.argmax(values))
+    bounds = _GUMBEL_GRID[max(best - 1, 0)], _GUMBEL_GRID[min(best + 1, _GUMBEL_GRID.size - 1)]
+    refined = optimize.minimize_scalar(
+        lambda s: -gap(s), bounds=bounds, method="bounded", options={"xatol": 1e-10}
+    )
+    return float(max(values[best], -refined.fun))
 
 
 def marginal_gumbel_sweep(
@@ -146,14 +137,16 @@ def marginal_gumbel_sweep(
     key: StreamKey,
     *,
     threads: int = 1,
-) -> SweepReport:
-    """KS distance to the Gumbel law of normalised maxima, for each n in ``ns``.
+) -> list:
+    """Kolmogorov distance to the Gumbel law of the normalised maximum, one per n in ``ns``.
 
     ``process`` selects the base marginal at time 1: "bessel" (chi-square(m)),
     "scalar" (the m-term product sum) or "bm" (N(0, 1) with the classical
-    normal norming constants, as a sanity baseline).  Maxima are sampled
-    as the module docstring describes; no paths are simulated.
-    Fixed key, fixed output, for every thread count.
+    normal norming constants, as a sanity baseline).  For bessel, bm and
+    scalar m = 2 each value is the exact distance, and ``replicates``,
+    ``key`` and ``threads`` are unused.  For scalar m != 2 it is the KS
+    statistic of ``replicates`` sampled maxima, as the module docstring
+    describes: fixed key, fixed output, for every thread count.
     """
     if process not in _PROCESSES:
         raise ValueError(f"process must be one of {_PROCESSES}, got {process!r}")
@@ -163,27 +156,19 @@ def marginal_gumbel_sweep(
         raise ValueError("ns must be strictly increasing sample counts >= 2")
     if replicates < 1:
         raise ValueError("replicates must be positive")
-
-    n_chunks = -(-replicates // SWEEP_CHUNK)
-
-    def worker(c):
-        chunk, count = key.with_replicate(c), min(SWEEP_CHUNK, replicates - c * SWEEP_CHUNK)
-        if process != "scalar" or m == 2:
-            u = chunk.generator().random(count)
-            return np.array([_coupled_normalized_max(process, m, n, u) for n in ns])
-        # no quantile here: a = 1, and pair_maxima at the single time 0 gives max - b
-        return np.array([pair_maxima("scalar", [0.0], n, m, chunk, count)[0][:, 0] for n in ns])
-
-    samples = np.concatenate(parallel_map(worker, n_chunks, threads), axis=1)
-    return SweepReport(ns, [ks_statistic(row, gumbel_cdf) for row in samples])
+    if process != "scalar" or m == 2:
+        return [_exact_gumbel_distance(process, m, n) for n in ns]
+    # a = 1, and pair_maxima at the single time 0 gives max - b
+    maxima = (_local_pair_maxima("scalar", m, [0.0], n, key, replicates, threads)[0] for n in ns)
+    return [ks_statistic(sample, gumbel_cdf) for sample in maxima]
 
 
 def _local_pair_maxima(process, m, ts, n, key, replicates, threads):
-    n_chunks = -(-replicates // FDD_CHUNK)
+    n_chunks = -(-replicates // PAIR_CHUNK)
 
     def worker(c):
-        lo = c * FDD_CHUNK
-        count = min(replicates, lo + FDD_CHUNK) - lo
+        lo = c * PAIR_CHUNK
+        count = min(replicates, lo + PAIR_CHUNK) - lo
         return pair_maxima(process, ts, n, m, key.with_replicate(c), count)
 
     pairs, copies = zip(*parallel_map(worker, n_chunks, threads))

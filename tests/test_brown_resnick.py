@@ -405,13 +405,13 @@ class TestSampleBRExact:
 
     def test_marginals_are_gumbel(self):
         grid = make_dyadic_grid(3)
-        paths, _ = sample_br_exact(grid, StreamKey(2051), 5000)
+        paths, _ = sample_br_exact(grid, StreamKey(2051), 10000)
         for j in range(grid.size):
             assert ks_statistic(paths[:, j], gumbel_cdf) <= 0.026, j
 
     def test_pairs_agree_with_hr_bivariate(self):
         grid = np.array([0.0, 0.25, 0.75, 1.0])
-        paths, _ = sample_br_exact(grid, StreamKey(2052), 5000)
+        paths, _ = sample_br_exact(grid, StreamKey(2052), 10000)
         levels = [(x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
         for a in range(4):
             for b in range(a + 1, 4):
@@ -419,7 +419,8 @@ class TestSampleBRExact:
                 diff = bivariate_cdf_diff(
                     paths[:, [a, b]], lambda x, y: hr_bivariate_cdf(x, y, lam), levels
                 )
-                # the 5000-replicate bound of TestSampleBR::test_agrees_with_hr_bivariate
+                # the 5000-replicate bound of TestSampleBR::test_agrees_with_hr_bivariate,
+                # here at 10,000 rows
                 assert diff <= 0.04, (a, b)
 
     def test_matches_dieker_mikosch_in_law(self):
